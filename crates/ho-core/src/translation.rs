@@ -20,12 +20,20 @@
 //! [`Translated`] is the generic combinator: it wraps any *broadcast* HO
 //! algorithm `A` and yields an HO algorithm whose round `r` is micro-round
 //! `r` of the translation and whose macro-round `R = ⌈r/(f+1)⌉` runs `A`.
+//!
+//! A round in steady state allocates nothing: `Known_p` ([`Known`]) keeps
+//! the messages a macro-round retires and `clone_from`s the next one's
+//! into them, on the wire as in the state, and the counting round builds
+//! the inner mailbox and the next `S_p^{R+1}` in buffers the state owns.
+
+use std::fmt;
 
 use crate::algorithm::HoAlgorithm;
 use crate::mailbox::Mailbox;
-use crate::process::{ProcessId, ProcessSet};
+use crate::pool::PayloadPool;
+use crate::process::{ProcessId, ProcessSet, MAX_PROCESSES};
 use crate::round::Round;
-use crate::send_plan::SendPlan;
+use crate::send_plan::{PlanSlot, PlanSpares, SendPlan};
 
 /// The `P_k → P_su` translation of a broadcast HO algorithm.
 ///
@@ -112,6 +120,85 @@ impl<A: HoAlgorithm> Translated<A> {
     }
 }
 
+/// `Known_p`: `⟨message, origin⟩` pairs, at most one per origin, in
+/// insertion order — the translation's relay variable and, as `⟨Known_p⟩`,
+/// its round message.
+///
+/// Emptying the set retires its messages instead of dropping them, and an
+/// insertion `clone_from`s into a retired one, so a set that is emptied and
+/// refilled every macro-round (or a recycled payload buffer overwritten
+/// through [`Clone::clone_from`]) reuses the heap its messages own.
+pub struct Known<M> {
+    pairs: Vec<(ProcessId, M)>,
+    /// The origins in `pairs`.
+    origins: ProcessSet,
+    /// Messages retired by `clear`, at most as many as `pairs` ever held.
+    retired: Vec<M>,
+}
+
+impl<M> Default for Known<M> {
+    fn default() -> Self {
+        Known {
+            pairs: Vec::new(),
+            origins: ProcessSet::empty(),
+            retired: Vec::new(),
+        }
+    }
+}
+
+impl<M: Clone> Known<M> {
+    /// The pairs, in insertion order.
+    #[must_use]
+    pub fn pairs(&self) -> &[(ProcessId, M)] {
+        &self.pairs
+    }
+
+    /// Adds `⟨m, s⟩` unless a message of origin `s` is already known.
+    fn insert(&mut self, s: ProcessId, m: &M) {
+        if self.origins.contains(s) {
+            return;
+        }
+        self.origins.insert(s);
+        let m = match self.retired.pop() {
+            Some(mut retired) => {
+                retired.clone_from(m);
+                retired
+            }
+            None => m.clone(),
+        };
+        self.pairs.push((s, m));
+    }
+
+    /// Empties the set, keeping its messages for `insert` to reuse.
+    fn clear(&mut self) {
+        self.origins = ProcessSet::empty();
+        self.retired.extend(self.pairs.drain(..).map(|(_, m)| m));
+    }
+}
+
+impl<M: Clone> Clone for Known<M> {
+    fn clone(&self) -> Self {
+        Known {
+            pairs: self.pairs.clone(),
+            origins: self.origins,
+            retired: Vec::new(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.clear();
+        for (s, m) in &source.pairs {
+            self.insert(*s, m);
+        }
+    }
+}
+
+impl<M: fmt::Debug> fmt::Debug for Known<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.pairs).finish()
+    }
+}
+
 /// State of the translation: the inner state plus the relay bookkeeping.
 pub struct TranslatedState<A: HoAlgorithm> {
     /// Inner algorithm state `s_p`.
@@ -119,10 +206,34 @@ pub struct TranslatedState<A: HoAlgorithm> {
     /// `Listen_p`: processes still listened to in this macro-round.
     pub listen: ProcessSet,
     /// `Known_p`: the `⟨message, origin⟩` pairs collected this macro-round.
-    pub known: Vec<(ProcessId, A::Message)>,
+    pub known: Known<A::Message>,
     /// `NewHO_p` of the last completed macro-round (for analysis: Theorem 8
     /// is checked against these sets).
     pub last_new_ho: Option<ProcessSet>,
+    scratch: Scratch<A::Message>,
+}
+
+/// Buffers the counting round reuses from one macro-round to the next.
+/// Overwritten before every read, so not part of the state proper: a clone
+/// starts with fresh ones.
+struct Scratch<M> {
+    /// The mailbox handed to the inner `T_p^R`.
+    inner_mb: Mailbox<M>,
+    /// The slot `S_p^{R+1}(s_p)` is written through.
+    plan: SendPlan<M>,
+    spares: PlanSpares<M>,
+    pool: PayloadPool<M>,
+}
+
+impl<M> Default for Scratch<M> {
+    fn default() -> Self {
+        Scratch {
+            inner_mb: Mailbox::empty(),
+            plan: SendPlan::Silent,
+            spares: PlanSpares::default(),
+            pool: PayloadPool::new(),
+        }
+    }
 }
 
 // Manual impls: deriving would wrongly require `A: Clone + Debug` instead of
@@ -134,12 +245,13 @@ impl<A: HoAlgorithm> Clone for TranslatedState<A> {
             listen: self.listen,
             known: self.known.clone(),
             last_new_ho: self.last_new_ho,
+            scratch: Scratch::default(),
         }
     }
 }
 
-impl<A: HoAlgorithm> std::fmt::Debug for TranslatedState<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<A: HoAlgorithm> fmt::Debug for TranslatedState<A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TranslatedState")
             .field("inner", &self.inner)
             .field("listen", &self.listen)
@@ -149,21 +261,29 @@ impl<A: HoAlgorithm> std::fmt::Debug for TranslatedState<A> {
     }
 }
 
-impl<A: HoAlgorithm> TranslatedState<A> {
-    fn knows(&self, s: ProcessId) -> bool {
-        self.known.iter().any(|(q, _)| *q == s)
-    }
-
-    fn add_known(&mut self, s: ProcessId, m: A::Message) {
-        if !self.knows(s) {
-            self.known.push((s, m));
+impl<A: HoAlgorithm> Translated<A> {
+    /// Opens macro-round `R`: `Listen_p ← Π ; Known_p ← {⟨S_p^R(s_p), p⟩}`.
+    fn open_macro_round(&self, macro_round: u64, p: ProcessId, state: &mut TranslatedState<A>) {
+        state.listen = ProcessSet::full(self.n());
+        state.known.clear();
+        let Scratch {
+            plan, spares, pool, ..
+        } = &mut state.scratch;
+        self.inner.send_into(
+            Round(macro_round),
+            p,
+            &state.inner,
+            &mut PlanSlot::new(plan, spares, pool),
+        );
+        if let Some(m) = plan.broadcast_payload() {
+            state.known.insert(p, m);
         }
     }
 }
 
 impl<A: HoAlgorithm> HoAlgorithm for Translated<A> {
     type State = TranslatedState<A>;
-    type Message = Vec<(ProcessId, A::Message)>;
+    type Message = Known<A::Message>;
     type Value = A::Value;
 
     fn n(&self) -> usize {
@@ -171,18 +291,15 @@ impl<A: HoAlgorithm> HoAlgorithm for Translated<A> {
     }
 
     fn init(&self, p: ProcessId, initial_value: A::Value) -> Self::State {
-        let inner = self.inner.init(p, initial_value);
-        let known = self
-            .inner
-            .broadcast_message(Round(1), p, &inner)
-            .map(|m| vec![(p, m)])
-            .unwrap_or_default();
-        TranslatedState {
-            inner,
-            listen: ProcessSet::full(self.n()),
-            known,
+        let mut state = TranslatedState {
+            inner: self.inner.init(p, initial_value),
+            listen: ProcessSet::empty(),
+            known: Known::default(),
             last_new_ho: None,
-        }
+            scratch: Scratch::default(),
+        };
+        self.open_macro_round(1, p, &mut state);
+        state
     }
 
     fn send(&self, _r: Round, _p: ProcessId, state: &Self::State) -> SendPlan<Self::Message> {
@@ -197,11 +314,11 @@ impl<A: HoAlgorithm> HoAlgorithm for Translated<A> {
         _r: Round,
         _p: ProcessId,
         state: &Self::State,
-        slot: &mut crate::send_plan::PlanSlot<'_, Self::Message>,
+        slot: &mut PlanSlot<'_, Self::Message>,
     ) -> u64 {
-        // Same plan as `send`; `clone_into` additionally reuses the payload
-        // vector's capacity when the slot hands back a unique buffer.
-        slot.broadcast_with(|| state.known.clone(), |buf| state.known.clone_into(buf))
+        // Same plan as `send`; `clone_from` additionally reuses the heap of
+        // the messages in the buffer when the slot hands back a unique one.
+        slot.broadcast_with(|| state.known.clone(), |buf| buf.clone_from(&state.known))
     }
 
     fn transition(
@@ -219,52 +336,46 @@ impl<A: HoAlgorithm> HoAlgorithm for Translated<A> {
             // Relay: union in everything heard from still-listened senders.
             for (q, known_q) in mb.iter() {
                 if state.listen.contains(q) {
-                    for (s, m) in known_q {
-                        state.add_known(*s, m.clone());
+                    for (s, m) in known_q.pairs() {
+                        state.known.insert(*s, m);
                     }
                 }
             }
         } else {
             let (macro_round, _) = r.phase(per);
             let n = self.n();
-            // NewHO_p: origins vouched for by ≥ n − f listened senders.
-            let mut counts = vec![0usize; n];
-            let mut payload: Vec<Option<A::Message>> = vec![None; n];
+            // NewHO_p: origins vouched for by ≥ n − f listened senders
+            // (each `Known_q` names an origin at most once), with the
+            // first message heard for each.
+            let mut counts = [0usize; MAX_PROCESSES];
+            let mut payload: [Option<&A::Message>; MAX_PROCESSES] = [None; MAX_PROCESSES];
             for (q, known_q) in mb.iter() {
                 if !state.listen.contains(q) {
                     continue;
                 }
-                let mut seen_from_q = ProcessSet::empty();
-                for (s, m) in known_q {
-                    if !seen_from_q.contains(*s) {
-                        seen_from_q.insert(*s);
-                        counts[s.index()] += 1;
-                        payload[s.index()].get_or_insert_with(|| m.clone());
-                    }
+                for (s, m) in known_q.pairs() {
+                    counts[s.index()] += 1;
+                    payload[s.index()].get_or_insert(m);
                 }
             }
             let mut new_ho = ProcessSet::empty();
-            let mut inner_mb = Mailbox::empty();
+            let inner_mb = &mut state.scratch.inner_mb;
+            inner_mb.clear();
             for s in 0..n {
                 if counts[s] >= n - self.f {
                     let sid = ProcessId::new(s);
                     new_ho.insert(sid);
-                    inner_mb.push(
+                    inner_mb.push_trusted_recycled(
                         sid,
-                        payload[s].clone().expect("counted origin has a payload"),
+                        payload[s].expect("counted origin has a payload"),
                     );
                 }
             }
             state.last_new_ho = Some(new_ho);
             // Inner transition for macro-round R, then reset for R + 1.
             self.inner
-                .transition(Round(macro_round), p, &mut state.inner, &inner_mb);
-            state.listen = ProcessSet::full(n);
-            state.known = self
-                .inner
-                .broadcast_message(Round(macro_round + 1), p, &state.inner)
-                .map(|m| vec![(p, m)])
-                .unwrap_or_default();
+                .transition(Round(macro_round), p, &mut state.inner, inner_mb);
+            self.open_macro_round(macro_round + 1, p, state);
         }
     }
 
@@ -341,6 +452,34 @@ mod tests {
                 assert!(first.is_superset(pi0), "NewHO must contain Π0");
             }
         }
+    }
+
+    #[test]
+    fn known_keeps_one_message_per_origin_and_recycles_their_heap() {
+        let p = ProcessId::new;
+        let mut known: Known<Vec<u64>> = Known::default();
+        known.insert(p(2), &vec![7, 7]);
+        known.insert(p(0), &vec![1]);
+        known.insert(p(2), &vec![9]); // origin 2 is already known
+        assert_eq!(known.pairs(), [(p(2), vec![7, 7]), (p(0), vec![1])]);
+        // `clear` retires the two vectors; the next inserts write into
+        // their heap (last retired first) instead of allocating.
+        let heap: Vec<*const u64> = known.pairs().iter().map(|(_, m)| m.as_ptr()).collect();
+        known.clear();
+        assert!(known.pairs().is_empty());
+        known.insert(p(2), &vec![3]); // no longer known: the mask was reset
+        known.insert(p(1), &vec![4, 5]);
+        assert_eq!(known.pairs(), [(p(2), vec![3]), (p(1), vec![4, 5])]);
+        assert_eq!(known.pairs()[0].1.as_ptr(), heap[1]);
+        assert_eq!(known.pairs()[1].1.as_ptr(), heap[0]);
+        // `clone_from` is clear + insert: same pairs, recycled heap.
+        let mut wire = known.clone();
+        let heap: Vec<*const u64> = wire.pairs().iter().map(|(_, m)| m.as_ptr()).collect();
+        known.clear();
+        known.insert(p(3), &vec![8]);
+        wire.clone_from(&known);
+        assert_eq!(wire.pairs(), [(p(3), vec![8])]);
+        assert_eq!(wire.pairs()[0].1.as_ptr(), heap[1]);
     }
 
     #[test]

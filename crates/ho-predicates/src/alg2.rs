@@ -18,9 +18,18 @@
 //! ```
 //!
 //! The algorithm sends **no messages of its own** — it only wraps the upper
-//! layer's round messages with a round number. Recovery restarts the outer
-//! loop with `rp`, `sp` read back from stable storage and `msgsRcv`,
-//! `next_rp` reinitialized.
+//! layer's round messages with a round number.
+//!
+//! ## Stable and volatile state
+//!
+//! `rp` and `sp` live *on* stable storage: the program's `StableImage`
+//! is the only `(rp, sp)` it has, written in place by `finish_round` alone
+//! (lines 19–22, ending at the persist point). Steps are atomic, so a
+//! crash finds the record as the last finished round left it, and there
+//! is no in-memory twin to restore and no per-round copy of the upper
+//! state — see `crate::stable` for the argument (§4.2.1). `next_rp`,
+//! `msgsRcv`, `ip` and the position in the loop are `Volatile`: recovery
+//! restarts the outer loop (line 6) with them reinitialized.
 //!
 //! ## The unified message path
 //!
@@ -35,7 +44,7 @@
 //! recycled slots: **zero** heap allocations per round
 //! (`tests/alloc_steady_state.rs`).
 
-use ho_core::algorithm::{HoAlgorithm, HoAlgorithmExt};
+use ho_core::algorithm::HoAlgorithm;
 use ho_core::executor::MessageStats;
 use ho_core::pool::PooledPayload;
 use ho_core::process::ProcessId;
@@ -44,7 +53,8 @@ use ho_core::Mailbox;
 use ho_sim::program::{policy, Program, StepKind, WireMsg};
 
 use crate::record::{BoundedLog, RoundLog, RoundRecord};
-use crate::send_path::{fill_round_mailbox, SendPath};
+use crate::send_path::SendPath;
+use crate::stable::StableImage;
 use crate::StoredMsgs;
 
 /// The wire format of Algorithm 2: the upper layer's round-`round` message.
@@ -75,13 +85,24 @@ impl<M> Alg2Msg<M> {
     }
 }
 
-/// The stable-storage image of Algorithm 2 (`rp` and `sp`; §4.2.1 notes the
-/// in-memory-copy optimisation — equivalent, so we model the logical
-/// content).
+/// What a crash loses: `next_rp`, `msgsRcv`, `ip` and whether the round's
+/// send step is still due.
 #[derive(Clone, Debug)]
-struct StableImage<S> {
-    round: u64,
-    state: S,
+struct Volatile<A: HoAlgorithm> {
+    next_round: u64,
+    msgs: StoredMsgs<A>,
+    i: u64,
+    sending: bool,
+}
+
+impl<A: HoAlgorithm> Volatile<A> {
+    /// Line 6 with `rp = round`, as on every recovery.
+    fn restart(&mut self, round: u64) {
+        self.next_round = round;
+        self.msgs.clear();
+        self.i = 0;
+        self.sending = true;
+    }
 }
 
 /// Algorithm 2 as a step [`Program`], wrapping any broadcast [`HoAlgorithm`].
@@ -91,21 +112,14 @@ pub struct Alg2Program<A: HoAlgorithm> {
     p: ProcessId,
     /// Receive-step budget per round, `⌈2δ + (n+2)φ⌉`.
     timeout: u64,
-    // ---- volatile state ----
-    state: A::State,
-    round: u64,
-    next_round: u64,
-    msgs: StoredMsgs<A>,
-    i: u64,
-    sending: bool,
+    stable: StableImage<A::State>,
+    vol: Volatile<A>,
     // ---- the unified send path ----
     /// `S_p^r`'s pool-backed plan slot plus the [`Alg2Msg`] envelope's
     /// (shared machinery — see [`SendPath`]).
     path: SendPath<A, Alg2Msg<A::Message>>,
     /// The round mailbox handed to `T_p^r`, persistent across rounds.
     mailbox: Mailbox<A::Message>,
-    // ---- stable storage ----
-    stable: StableImage<A::State>,
     // ---- observability ----
     records: BoundedLog,
     crashes: u64,
@@ -117,21 +131,20 @@ impl<A: HoAlgorithm> Alg2Program<A> {
     #[must_use]
     pub fn new(alg: A, p: ProcessId, initial_value: A::Value, timeout: u64) -> Self {
         assert!(timeout >= 1, "timeout must be at least one receive step");
-        let state = alg.init(p, initial_value);
         Alg2Program {
             stable: StableImage {
                 round: 1,
-                state: state.clone(),
+                state: alg.init(p, initial_value),
             },
             alg,
             p,
             timeout,
-            state,
-            round: 1,
-            next_round: 1,
-            msgs: Vec::new(),
-            i: 0,
-            sending: true,
+            vol: Volatile {
+                next_round: 1,
+                msgs: Vec::new(),
+                i: 0,
+                sending: true,
+            },
             path: SendPath::new(),
             mailbox: Mailbox::empty(),
             records: BoundedLog::new(),
@@ -164,19 +177,19 @@ impl<A: HoAlgorithm> Alg2Program<A> {
     /// Current upper-layer state `s_p`.
     #[must_use]
     pub fn state(&self) -> &A::State {
-        &self.state
+        &self.stable.state
     }
 
     /// Current round `r_p`.
     #[must_use]
     pub fn round(&self) -> u64 {
-        self.round
+        self.stable.round
     }
 
     /// The upper layer's decision, if reached.
     #[must_use]
     pub fn decision(&self) -> Option<A::Value> {
-        self.alg.decision(&self.state)
+        self.alg.decision(&self.stable.state)
     }
 
     /// Number of crashes survived.
@@ -185,38 +198,22 @@ impl<A: HoAlgorithm> Alg2Program<A> {
         self.crashes
     }
 
-    /// Ends round `rp`: runs `T_p^{rp}` on the stored round-`rp` messages,
-    /// applies `∅`-transitions for skipped rounds, advances to `next_rp` and
-    /// persists to stable storage.
+    /// Ends round `rp` on the stable record (lines 19–22).
     fn finish_round(&mut self) {
-        debug_assert!(self.next_round > self.round);
-        let r = self.round;
-        fill_round_mailbox::<A>(&mut self.mailbox, &self.msgs, r);
-        self.alg
-            .transition(Round(r), self.p, &mut self.state, &self.mailbox);
-        self.records.push(RoundRecord {
-            round: r,
-            ho: self.mailbox.senders(),
-        });
-        // Skipped rounds run with ∅ (line 21).
-        for r_skip in (r + 1)..self.next_round {
-            self.alg
-                .apply_empty_rounds(self.p, &mut self.state, Round(r_skip), Round(r_skip + 1));
-            self.records.push(RoundRecord {
-                round: r_skip,
-                ho: ho_core::ProcessSet::empty(),
-            });
-        }
-        self.round = self.next_round;
+        let next = self.vol.next_round;
+        self.stable.finish_round(
+            &self.alg,
+            self.p,
+            next,
+            &self.vol.msgs,
+            &mut self.mailbox,
+            &mut self.records,
+        );
         // Space optimisation sanctioned by §4.2.1: drop messages for rounds
         // already completed.
-        self.msgs.retain(|(_, mr, _)| *mr >= self.round);
-        self.stable = StableImage {
-            round: self.round,
-            state: self.state.clone(),
-        };
-        self.sending = true;
-        self.i = 0;
+        self.vol.msgs.retain(|(_, mr, _)| *mr >= next);
+        self.vol.sending = true;
+        self.vol.i = 0;
     }
 }
 
@@ -224,26 +221,28 @@ impl<A: HoAlgorithm> Program for Alg2Program<A> {
     type Msg = Alg2Msg<A::Message>;
 
     fn next_step(&mut self) -> StepKind<Self::Msg> {
-        if self.sending {
-            self.sending = false;
-            self.i = 0;
+        if self.vol.sending {
+            self.vol.sending = false;
+            self.vol.i = 0;
             // S_p^r written through the shared pool-backed send path: the
             // payload construction lands in a recycled slot whenever one
             // has drained (recipients hold payloads across rounds, so the
             // generation-stamped pool — not the executor's
             // take-it-back-now trick — is what makes this reuse possible),
             // and the Alg2Msg envelope goes through a slot of its own.
-            let round = self.round;
+            let round = self.stable.round;
+            let state = &self.stable.state;
             self.path
-                .emit(&self.alg, Round(round), self.p, &self.state, |payload| {
-                    Alg2Msg { round, payload }
+                .emit(&self.alg, Round(round), self.p, state, |payload| Alg2Msg {
+                    round,
+                    payload,
                 })
         } else {
             // Lines 11–13: count the receive step; on timeout, move on after
             // this (still executed) receive.
-            self.i += 1;
-            if self.i >= self.timeout {
-                self.next_round = self.next_round.max(self.round + 1);
+            self.vol.i += 1;
+            if self.vol.i >= self.timeout {
+                self.vol.next_round = self.vol.next_round.max(self.stable.round + 1);
             }
             StepKind::Receive
         }
@@ -254,17 +253,18 @@ impl<A: HoAlgorithm> Program for Alg2Program<A> {
     }
 
     fn on_receive(&mut self, message: Option<(ProcessId, WireMsg<Self::Msg>)>) {
+        let round = self.stable.round;
         if let Some((q, m)) = message {
-            if m.round >= self.round {
+            if m.round >= round {
                 // Keep the payload *handle* — the sender's slot stays
                 // parked (generation-checked) until this round finishes.
-                self.msgs.push((q, m.round, m.payload.clone()));
+                self.vol.msgs.push((q, m.round, m.payload.clone()));
             }
-            if m.round > self.round {
-                self.next_round = self.next_round.max(m.round);
+            if m.round > round {
+                self.vol.next_round = self.vol.next_round.max(m.round);
             }
         }
-        if self.next_round > self.round {
+        if self.vol.next_round > round {
             self.finish_round();
         }
     }
@@ -274,14 +274,9 @@ impl<A: HoAlgorithm> Program for Alg2Program<A> {
     }
 
     fn on_recover(&mut self) {
-        // Restart at line 6 with rp, sp from stable storage; msgsRcv and
-        // next_rp reinitialized.
-        self.round = self.stable.round;
-        self.state = self.stable.state.clone();
-        self.next_round = self.round;
-        self.msgs.clear();
-        self.i = 0;
-        self.sending = true;
+        // Restart at line 6: rp, sp are on stable storage, where the crash
+        // left them; msgsRcv and next_rp are reinitialized.
+        self.vol.restart(self.stable.round);
     }
 
     fn discard_buffered(&self, m: &Self::Msg) -> bool {
@@ -289,7 +284,7 @@ impl<A: HoAlgorithm> Program for Alg2Program<A> {
         // from the buffer (§4.2.1's space optimisation) is behaviourally
         // identical and keeps the buffer — and the payload pinning —
         // bounded under re-announcement storms.
-        m.round < self.round
+        m.round < self.stable.round
     }
 
     fn message_stats(&self) -> MessageStats {
@@ -407,6 +402,25 @@ mod tests {
     }
 
     #[test]
+    fn recovery_at_every_step_equals_the_round_boundary_image() {
+        use crate::recovery_check::{check, log, Log, View, N};
+        let replicas: Vec<Alg2Program<Log>> = (0..N)
+            .map(|p| Alg2Program::new(log(), ProcessId::new(p), 0, N as u64))
+            .collect();
+        let view = View::<Alg2Program<Log>> {
+            round: |p| p.round(),
+            state: |p| p.state(),
+            volatile_is_reset: |p| {
+                let v = &p.vol;
+                v.next_round == p.stable.round && v.msgs.is_empty() && v.i == 0 && v.sending
+            },
+            // Every replica's ROUND message; the last one meets the timeout.
+            inbox: |round_msgs| round_msgs.to_vec(),
+        };
+        check(replicas, view, 24);
+    }
+
+    #[test]
     fn higher_round_message_fast_forwards() {
         let n = 3;
         let alg = OneThirdRule::new(n);
@@ -443,13 +457,13 @@ mod tests {
         )));
         assert_eq!(prog.round(), 3);
         // A late round-1 message must not be stored.
-        let before = prog.msgs.len();
+        let before = prog.vol.msgs.len();
         let _ = prog.next_step();
         prog.on_receive(Some((
             ProcessId::new(2),
             WireMsg::Owned(Alg2Msg::new(1, Some(2u64))),
         )));
-        assert_eq!(prog.msgs.len(), before);
+        assert_eq!(prog.vol.msgs.len(), before);
     }
 
     #[test]

@@ -26,8 +26,18 @@
 //! everyone advance, and a single ROUND message from a higher round drags a
 //! late process forward immediately, giving fast synchronization at the
 //! start of a good period.
+//!
+//! ## Stable and volatile state
+//!
+//! As in [Algorithm 2](crate::alg2), `rp` and `sp` live *on* stable
+//! storage: the program's `StableImage` is the only `(rp, sp)` it has,
+//! written in place by `finish_round` alone; with atomic steps a crash
+//! finds it as the last finished round left it, so there is no in-memory
+//! twin and no per-round copy of the upper state (`crate::stable`,
+//! §4.2.1). `Volatile` is what a crash loses; recovery restarts the
+//! outer loop with it reinitialized.
 
-use ho_core::algorithm::{HoAlgorithm, HoAlgorithmExt};
+use ho_core::algorithm::HoAlgorithm;
 use ho_core::executor::MessageStats;
 use ho_core::pool::PooledPayload;
 use ho_core::process::{ProcessId, ProcessSet};
@@ -36,7 +46,8 @@ use ho_core::Mailbox;
 use ho_sim::program::{policy, Program, StepKind, WireMsg};
 
 use crate::record::{BoundedLog, RoundLog, RoundRecord};
-use crate::send_path::{fill_round_mailbox, SendPath};
+use crate::send_path::SendPath;
+use crate::stable::StableImage;
 use crate::StoredMsgs;
 
 /// The wire format of Algorithm 3.
@@ -103,10 +114,29 @@ impl<M> Alg3Msg<M> {
     }
 }
 
+/// What a crash loses.
 #[derive(Clone, Debug)]
-struct StableImage<S> {
-    round: u64,
-    state: S,
+struct Volatile<A: HoAlgorithm> {
+    next_round: u64,
+    msgs: StoredMsgs<A>,
+    /// Distinct senders of `⟨INIT, ρ, −⟩` per target round `ρ > rp`.
+    init_senders: Vec<(u64, ProcessSet)>,
+    i: u64,
+    mode: Mode,
+    /// Whether this round's INIT has been announced (for `InitResend::Once`).
+    init_sent_this_round: bool,
+}
+
+impl<A: HoAlgorithm> Volatile<A> {
+    /// The top of the outer loop with `rp = round`, as on every recovery.
+    fn restart(&mut self, round: u64) {
+        self.next_round = round;
+        self.msgs.clear();
+        self.init_senders.clear();
+        self.i = 0;
+        self.mode = Mode::SendRound;
+        self.init_sent_this_round = false;
+    }
 }
 
 /// How often a stuck process re-announces its INIT once the timeout has
@@ -153,23 +183,14 @@ pub struct Alg3Program<A: HoAlgorithm> {
     resend: InitResend,
     /// Reception policy.
     policy: Alg3Policy,
-    /// Whether this round's INIT has been announced (for `InitResend::Once`).
-    init_sent_this_round: bool,
-    // ---- volatile ----
-    state: A::State,
-    round: u64,
-    next_round: u64,
-    msgs: StoredMsgs<A>,
-    /// Distinct senders of `⟨INIT, ρ, −⟩` per target round `ρ > round`.
-    init_senders: Vec<(u64, ProcessSet)>,
-    i: u64,
-    mode: Mode,
+    stable: StableImage<A::State>,
+    vol: Volatile<A>,
+    /// Receive steps taken so far: the round-robin pointer of the reception
+    /// policy (any value is fair, so recovery leaves it alone).
     recv_steps: u64,
     // ---- the unified send path (shared with `Alg2Program`) ----
     path: SendPath<A, Alg3Msg<A::Message>>,
     mailbox: Mailbox<A::Message>,
-    // ---- stable ----
-    stable: StableImage<A::State>,
     // ---- observability ----
     records: BoundedLog,
     crashes: u64,
@@ -197,11 +218,10 @@ impl<A: HoAlgorithm> Alg3Program<A> {
     pub fn new(alg: A, p: ProcessId, initial_value: A::Value, f: usize, timeout: u64) -> Self {
         assert!(2 * f < alg.n(), "Algorithm 3 requires f < n/2");
         assert!(timeout >= 1, "timeout must be at least one receive step");
-        let state = alg.init(p, initial_value);
         Alg3Program {
             stable: StableImage {
                 round: 1,
-                state: state.clone(),
+                state: alg.init(p, initial_value),
             },
             alg,
             p,
@@ -210,14 +230,14 @@ impl<A: HoAlgorithm> Alg3Program<A> {
             timeout,
             resend: InitResend::default(),
             policy: Alg3Policy::default(),
-            init_sent_this_round: false,
-            state,
-            round: 1,
-            next_round: 1,
-            msgs: Vec::new(),
-            init_senders: Vec::new(),
-            i: 0,
-            mode: Mode::SendRound,
+            vol: Volatile {
+                next_round: 1,
+                msgs: Vec::new(),
+                init_senders: Vec::new(),
+                i: 0,
+                mode: Mode::SendRound,
+                init_sent_this_round: false,
+            },
             recv_steps: 0,
             path: SendPath::new(),
             mailbox: Mailbox::empty(),
@@ -275,13 +295,13 @@ impl<A: HoAlgorithm> Alg3Program<A> {
     /// Current upper-layer state `s_p`.
     #[must_use]
     pub fn state(&self) -> &A::State {
-        &self.state
+        &self.stable.state
     }
 
     /// Current round `r_p`.
     #[must_use]
     pub fn round(&self) -> u64 {
-        self.round
+        self.stable.round
     }
 
     /// The resilience parameter `f` (`|π0| = n − f`).
@@ -299,7 +319,7 @@ impl<A: HoAlgorithm> Alg3Program<A> {
     /// The upper layer's decision, if reached.
     #[must_use]
     pub fn decision(&self) -> Option<A::Value> {
-        self.alg.decision(&self.state)
+        self.alg.decision(&self.stable.state)
     }
 
     /// Number of crashes survived.
@@ -315,11 +335,12 @@ impl<A: HoAlgorithm> Alg3Program<A> {
     }
 
     fn note_init_sender(&mut self, target: u64, q: ProcessId) -> usize {
-        if let Some((_, set)) = self.init_senders.iter_mut().find(|(r, _)| *r == target) {
+        let senders = &mut self.vol.init_senders;
+        if let Some((_, set)) = senders.iter_mut().find(|(r, _)| *r == target) {
             set.insert(q);
             return set.len();
         }
-        self.init_senders.push((target, ProcessSet::singleton(q)));
+        senders.push((target, ProcessSet::singleton(q)));
         1
     }
 
@@ -328,13 +349,10 @@ impl<A: HoAlgorithm> Alg3Program<A> {
     /// INIT for announcements. Both constructions land in recycled pool
     /// slots in steady state.
     fn emit_wire(&mut self, init: bool) -> StepKind<Alg3Msg<A::Message>> {
-        let wire_round = if init { self.round + 1 } else { self.round };
-        self.path.emit(
-            &self.alg,
-            Round(self.round),
-            self.p,
-            &self.state,
-            |payload| {
+        let StableImage { round, state } = &self.stable;
+        let wire_round = if init { round + 1 } else { *round };
+        self.path
+            .emit(&self.alg, Round(*round), self.p, state, |payload| {
                 if init {
                     Alg3Msg::Init {
                         round: wire_round,
@@ -346,38 +364,25 @@ impl<A: HoAlgorithm> Alg3Program<A> {
                         payload,
                     }
                 }
-            },
-        )
+            })
     }
 
+    /// Ends round `rp` on the stable record (lines 18–20).
     fn finish_round(&mut self) {
-        debug_assert!(self.next_round > self.round);
-        let r = self.round;
-        fill_round_mailbox::<A>(&mut self.mailbox, &self.msgs, r);
-        self.alg
-            .transition(Round(r), self.p, &mut self.state, &self.mailbox);
-        self.records.push(RoundRecord {
-            round: r,
-            ho: self.mailbox.senders(),
-        });
-        for r_skip in (r + 1)..self.next_round {
-            self.alg
-                .apply_empty_rounds(self.p, &mut self.state, Round(r_skip), Round(r_skip + 1));
-            self.records.push(RoundRecord {
-                round: r_skip,
-                ho: ProcessSet::empty(),
-            });
-        }
-        self.round = self.next_round;
-        self.msgs.retain(|(_, mr, _)| *mr >= self.round);
-        self.init_senders.retain(|(r, _)| *r > self.round);
-        self.stable = StableImage {
-            round: self.round,
-            state: self.state.clone(),
-        };
-        self.mode = Mode::SendRound;
-        self.i = 0;
-        self.init_sent_this_round = false;
+        let next = self.vol.next_round;
+        self.stable.finish_round(
+            &self.alg,
+            self.p,
+            next,
+            &self.vol.msgs,
+            &mut self.mailbox,
+            &mut self.records,
+        );
+        self.vol.msgs.retain(|(_, mr, _)| *mr >= next);
+        self.vol.init_senders.retain(|(r, _)| *r > next);
+        self.vol.mode = Mode::SendRound;
+        self.vol.i = 0;
+        self.vol.init_sent_this_round = false;
     }
 }
 
@@ -385,16 +390,16 @@ impl<A: HoAlgorithm> Program for Alg3Program<A> {
     type Msg = Alg3Msg<A::Message>;
 
     fn next_step(&mut self) -> StepKind<Self::Msg> {
-        match self.mode {
+        match self.vol.mode {
             Mode::SendRound => {
-                self.mode = Mode::Recv;
-                self.i = 0;
+                self.vol.mode = Mode::Recv;
+                self.vol.i = 0;
                 self.emit_wire(false)
             }
             Mode::SendInit => {
-                self.mode = Mode::Recv;
+                self.vol.mode = Mode::Recv;
                 self.inits_sent += 1;
-                self.init_sent_this_round = true;
+                self.vol.init_sent_this_round = true;
                 self.emit_wire(true)
             }
             Mode::Recv => {
@@ -416,41 +421,43 @@ impl<A: HoAlgorithm> Program for Alg3Program<A> {
     }
 
     fn on_receive(&mut self, message: Option<(ProcessId, WireMsg<Self::Msg>)>) {
+        let round = self.stable.round;
         if let Some((q, m)) = message {
             let content = m.content_round();
-            if content >= self.round {
+            if content >= round {
                 let payload = match &*m {
                     Alg3Msg::Round { payload, .. } | Alg3Msg::Init { payload, .. } => {
                         payload.clone()
                     }
                 };
                 // Store at most one payload per (round, sender).
-                if !self.msgs.iter().any(|(s, mr, _)| *s == q && *mr == content) {
-                    self.msgs.push((q, content, payload));
+                let msgs = &mut self.vol.msgs;
+                if !msgs.iter().any(|(s, mr, _)| *s == q && *mr == content) {
+                    msgs.push((q, content, payload));
                 }
             }
-            if content > self.round {
-                self.next_round = self.next_round.max(content);
+            if content > round {
+                self.vol.next_round = self.vol.next_round.max(content);
             }
             if let Alg3Msg::Init { round: target, .. } = *m {
-                if target > self.round {
+                if target > round {
                     let distinct = self.note_init_sender(target, q);
                     // Line 16: f + 1 INITs for rp + 1 advance the round.
-                    if target == self.round + 1 && distinct >= self.init_quorum {
-                        self.next_round = self.next_round.max(self.round + 1);
+                    if target == round + 1 && distinct >= self.init_quorum {
+                        self.vol.next_round = self.vol.next_round.max(round + 1);
                     }
                 }
             }
         }
         // Lines 18–20: count this receive step; from the timeout on, every
         // further loop iteration re-announces INIT (one send step each).
-        self.i += 1;
-        if self.next_round > self.round {
+        self.vol.i += 1;
+        if self.vol.next_round > round {
             self.finish_round();
-        } else if self.i >= self.timeout
-            && (self.resend == InitResend::EveryStep || !self.init_sent_this_round)
+        } else if self.vol.i >= self.timeout
+            && (self.resend == InitResend::EveryStep || !self.vol.init_sent_this_round)
         {
-            self.mode = Mode::SendInit;
+            self.vol.mode = Mode::SendInit;
         }
     }
 
@@ -459,14 +466,7 @@ impl<A: HoAlgorithm> Program for Alg3Program<A> {
     }
 
     fn on_recover(&mut self) {
-        self.round = self.stable.round;
-        self.state = self.stable.state.clone();
-        self.next_round = self.round;
-        self.msgs.clear();
-        self.init_senders.clear();
-        self.i = 0;
-        self.mode = Mode::SendRound;
-        self.init_sent_this_round = false;
+        self.vol.restart(self.stable.round);
     }
 
     fn discard_buffered(&self, m: &Self::Msg) -> bool {
@@ -476,7 +476,7 @@ impl<A: HoAlgorithm> Program for Alg3Program<A> {
         // buffer. Without this, every INIT re-announcement outlives its
         // round in the buffer and reception (one message per step) can
         // never catch up — unbounded memory and pinned payload slots.
-        m.content_round() < self.round
+        m.content_round() < self.stable.round
     }
 
     fn message_stats(&self) -> MessageStats {
@@ -688,6 +688,40 @@ mod tests {
             sent(prog.next_step()),
             Some(Alg3Msg::Round { round: 4, .. })
         ));
+    }
+
+    #[test]
+    fn recovery_at_every_step_equals_the_round_boundary_image() {
+        use crate::recovery_check::{check, log, Log, View, N};
+        let replicas: Vec<Alg3Program<Log>> = (0..N)
+            .map(|p| Alg3Program::new(log(), ProcessId::new(p), 0, 1, N as u64))
+            .collect();
+        let view = View::<Alg3Program<Log>> {
+            round: |p| p.round(),
+            state: |p| p.state(),
+            volatile_is_reset: |p| {
+                let v = &p.vol;
+                v.next_round == p.stable.round
+                    && v.msgs.is_empty()
+                    && v.init_senders.is_empty()
+                    && v.i == 0
+                    && v.mode == Mode::SendRound
+                    && !v.init_sent_this_round
+            },
+            // Every replica's ROUND message (the last one meets the
+            // timeout), then every replica's INIT for the next round.
+            inbox: |round_msgs| {
+                let inits = round_msgs.iter().map(|m| match m {
+                    Alg3Msg::Round { round, payload } => Alg3Msg::Init {
+                        round: round + 1,
+                        payload: payload.clone(),
+                    },
+                    init => panic!("a round opens with ROUND, not {init:?}"),
+                });
+                round_msgs.iter().cloned().chain(inits).collect()
+            },
+        };
+        check(replicas, view, 24);
     }
 
     #[test]

@@ -53,7 +53,10 @@ pub mod bounds;
 pub mod measure;
 pub mod monitor;
 pub mod record;
+#[cfg(test)]
+pub(crate) mod recovery_check;
 pub(crate) mod send_path;
+pub(crate) mod stable;
 
 pub use alg2::{Alg2Msg, Alg2Program};
 pub use alg3::{Alg3Msg, Alg3Policy, Alg3Program, InitResend};

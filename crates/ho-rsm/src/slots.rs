@@ -188,7 +188,7 @@ pub struct SlotEntry<M> {
 
 /// The per-round bundle: one message multiplexing every live slot, plus
 /// the catch-up machinery.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct RsmMessage<M> {
     /// The sender's applied-log length (its commit floor).
     pub committed: u64,
@@ -198,6 +198,27 @@ pub struct RsmMessage<M> {
     pub backfill_start: u64,
     /// Applied values for laggards: slots `backfill_start..` in order.
     pub backfill: Vec<u64>,
+}
+
+// Manual impl for `clone_from`: a relay that copies bundles into buffers it
+// kept from earlier rounds (the `P_k → P_su` translation) reuses both
+// vectors' heap instead of allocating two per copy.
+impl<M: Clone> Clone for RsmMessage<M> {
+    fn clone(&self) -> Self {
+        RsmMessage {
+            committed: self.committed,
+            entries: self.entries.clone(),
+            backfill_start: self.backfill_start,
+            backfill: self.backfill.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.committed = source.committed;
+        self.entries.clone_from(&source.entries);
+        self.backfill_start = source.backfill_start;
+        self.backfill.clone_from(&source.backfill);
+    }
 }
 
 impl<M> RsmMessage<M> {
@@ -507,6 +528,7 @@ impl<A: HoAlgorithm> fmt::Debug for RsmState<A> {
 /// The inner algorithm's value domain is fixed to `u64`: slot values are
 /// packed, slot-keyed batch references
 /// ([`encode_slot_value`](crate::checker::encode_slot_value)).
+#[derive(Clone)]
 pub struct MultiSlot<A> {
     inner: A,
     cfg: RsmConfig,

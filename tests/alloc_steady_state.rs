@@ -7,15 +7,13 @@
 //! recycled payload `Arc`s, the adversary fills a reused scratch slice, and
 //! the statistics-only trace never materialises a row.
 //!
-//! Counting is gated on a thread-local flag set only around the measured
-//! window: the libtest harness's main thread allocates in the background
-//! (channel and thread-bookkeeping lazy init), and a process-global count
-//! would flake on those. All phases still run inside a single `#[test]` so
-//! the measured windows stay serial.
+//! The count is thread-local and kept only inside the measured window: the
+//! libtest harness's main thread allocates in the background (channel and
+//! thread-bookkeeping lazy init) and the tests of this file run in
+//! parallel, so a process-global count would flake on both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use heardof::core::adversary::{Adversary, FullDelivery, KernelOnly, RandomLoss};
 use heardof::core::algorithms::{LastVoting, OneThirdRule, UniformVoting};
@@ -26,39 +24,36 @@ use heardof::core::process::ProcessSet;
 use heardof::core::round::Round;
 use heardof::core::telemetry::Telemetry;
 use heardof::core::trace::TraceMode;
+use heardof::core::translation::Translated;
 use heardof::core::HoAlgorithm;
 use heardof::predicates::monitor::{ScenarioMonitor, WindowMonitor};
 use heardof::predicates::{Alg2Program, Alg3Program, BoundParams};
-use heardof::rsm::{LogDriver, RsmConfig, WorkloadSpec};
+use heardof::rsm::{FlowControl, LogDriver, MultiSlot, RsmConfig, WorkloadSpec};
 use heardof::sim::{GoodKind, Program, Schedule, SimConfig, Simulator, TimePoint};
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Whether allocations on *this* thread are being counted.
-    static TRACKING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on *this* thread since its measured window
+    /// opened; `None` outside a window. Per thread, so that tests running
+    /// in parallel cannot see each other's allocations.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-fn tracking() -> bool {
+fn count_one() {
     // `try_with`: the allocator can run during thread teardown, after the
     // thread-local has been destroyed.
-    TRACKING.try_with(Cell::get).unwrap_or(false)
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if tracking() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if tracking() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -72,11 +67,9 @@ static COUNTER: CountingAllocator = CountingAllocator;
 
 /// Allocations performed by `f` on the calling thread.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    TRACKING.with(|t| t.set(true));
+    COUNT.with(|c| c.set(Some(0)));
     f();
-    TRACKING.with(|t| t.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
+    COUNT.with(|c| c.take()).expect("window opened above")
 }
 
 /// Warm an executor up, then count allocations over `rounds` further rounds.
@@ -614,4 +607,102 @@ fn sim_engine_zero_allocations_per_round_in_steady_state() {
         digest.events_dropped > 0,
         "per-dispatch events must wrap the ring over a 400-unit window"
     );
+}
+
+/// Allocations while `sim` runs from its current point until every
+/// replica has finished log round `until` (`log_round` reads a replica's
+/// finished log rounds).
+fn allocs_until_log_round<P: Program>(
+    sim: &mut Simulator<P>,
+    log_round: impl Fn(&P) -> u64,
+    until: u64,
+) -> u64 {
+    allocs_during(|| {
+        let reached = sim.run_until(TimePoint::new(1e9), |s| {
+            s.programs().iter().all(|p| log_round(p) >= until)
+        });
+        assert!(reached, "log round {until} not reached");
+    })
+}
+
+/// The full-stack claim: the replicated log over Algorithm 2, or over
+/// Algorithm 3 and the translation, recorder off, allocates only for the
+/// amortised growth of the applied log and the latency samples — nothing
+/// per round, and no more late in the run than early.
+fn assert_full_stack_steady_state<P: Program>(
+    label: &str,
+    mut sim: Simulator<P>,
+    log_round: impl Fn(&P) -> u64,
+) {
+    // Two doubling vectors per replica grow at most twice each while a log
+    // doubles in length, which it does at most once per window below.
+    let n = sim.programs().len() as u64;
+    let growth = 4 * n;
+    let mut window = |from: u64, to: u64| {
+        allocs_until_log_round(&mut sim, &log_round, from);
+        allocs_until_log_round(&mut sim, &log_round, to)
+    };
+    let early = window(500, 1000);
+    let late = window(2000, 2500);
+    assert!(
+        early <= growth,
+        "{label}: {early} allocations over log rounds 500..1000 (allowed {growth})"
+    );
+    assert!(
+        late <= growth,
+        "{label}: {late} allocations over log rounds 2000..2500 — cost grows with the log"
+    );
+}
+
+#[test]
+fn full_stack_allocation_free_and_independent_of_log_length() {
+    let n = 4;
+    let f = 1;
+    let params = BoundParams::new(n, 1.0, 2.0);
+    let log = |seed| {
+        let mut cfg = RsmConfig::with_depth(4);
+        cfg.flow = FlowControl::on();
+        MultiSlot::new(
+            OneThirdRule::new(n),
+            WorkloadSpec::ClosedLoop { clients: 8 },
+            cfg,
+            seed,
+        )
+    };
+    let pid = heardof::core::process::ProcessId::new;
+
+    let programs: Vec<_> = (0..n)
+        .map(|p| {
+            Alg2Program::new(log(31), pid(p), 0, params.alg2_timeout())
+                .with_record_window(SIM_RECORD_WINDOW)
+        })
+        .collect();
+    let sim = Simulator::new(
+        SimConfig::normalized(n, 1.0, 2.0).with_seed(9),
+        Schedule::always_good(ProcessSet::full(n), GoodKind::PiDown),
+        programs,
+    );
+    assert_full_stack_steady_state("Alg2 / MultiSlot<OTR>", sim, |p| p.round() - 1);
+
+    let programs: Vec<_> = (0..n)
+        .map(|p| {
+            Alg3Program::new(
+                Translated::new(log(32), f),
+                pid(p),
+                0,
+                f,
+                params.alg3_timeout(),
+            )
+            .with_record_window(SIM_RECORD_WINDOW)
+        })
+        .collect();
+    let per = programs[0].algorithm().rounds_per_macro();
+    let sim = Simulator::new(
+        SimConfig::normalized(n, 1.0, 2.0).with_seed(11),
+        Schedule::always_good(ProcessSet::full(n), GoodKind::PiArbitrary),
+        programs,
+    );
+    assert_full_stack_steady_state("Alg3 / Translated / MultiSlot<OTR>", sim, |p| {
+        (p.round() - 1) / per
+    });
 }

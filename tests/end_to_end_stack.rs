@@ -158,3 +158,166 @@ fn system_trace_satisfies_model_level_predicates() {
         "the system layer delivered the predicate the HO layer needs"
     );
 }
+
+// ---------------------------------------------------------------------
+// Golden full-stack pins: the replicated log on top of Algorithms 2 / 3.
+//
+// The digests below were computed on the commit *before* Algorithms 2/3
+// stopped copying `(rp, sp)` into a second stable image every round and
+// the translation stopped allocating; they pin that such host-time work
+// changes nothing a replica, a client or the network can observe.
+// ---------------------------------------------------------------------
+
+mod golden {
+    use super::*;
+    use heardof::rsm::{FlowControl, MultiSlot, RsmConfig, RsmState, WorkloadSpec};
+    use heardof::sim::{Program, SimStats};
+
+    const N: usize = 4;
+    const F: usize = 1;
+    const HORIZON: f64 = 6000.0;
+
+    /// FNV-1a over 64-bit words.
+    struct Digest(u64);
+
+    impl Digest {
+        fn new() -> Self {
+            Digest(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn words(&mut self, ws: &[u64]) {
+            self.word(ws.len() as u64);
+            ws.iter().for_each(|&w| self.word(w));
+        }
+
+        fn replica(&mut self, round: u64, log: &RsmState<OneThirdRule>) {
+            self.word(round);
+            self.words(log.applied());
+            let s = log.stats();
+            self.words(&[
+                s.applied_commands,
+                s.own_applied_commands,
+                s.requeued_commands,
+                s.backfill_received,
+                s.backfill_adopted,
+                s.lease_takeovers,
+            ]);
+            self.words(&s.latencies);
+        }
+
+        fn sim(&mut self, s: &SimStats) {
+            self.words(&[
+                s.send_steps,
+                s.receive_steps,
+                s.empty_receives,
+                s.transmissions,
+                s.dropped,
+                s.discarded,
+                s.crashes,
+                s.recoveries,
+                s.broadcast_sends,
+                s.messages.payload_allocs,
+                s.messages.payload_reuses,
+                s.messages.delivered,
+                s.events_dispatched,
+                s.peak_queue_depth,
+            ]);
+        }
+    }
+
+    fn log(seed: u64) -> MultiSlot<OneThirdRule> {
+        let mut cfg = RsmConfig::with_depth(4);
+        cfg.flow = FlowControl::on();
+        MultiSlot::new(
+            OneThirdRule::new(N),
+            WorkloadSpec::ClosedLoop { clients: 8 },
+            cfg,
+            seed,
+        )
+    }
+
+    /// 40 tu bad, 400 tu good, good for good well before the horizon.
+    fn alternating(bad: BadPeriodConfig, pi0: ProcessSet, kind: GoodKind) -> Schedule {
+        Schedule::alternating(bad, 40.0, 400.0, 10, pi0, kind)
+    }
+
+    /// Runs the cell to the horizon and digests everything observable:
+    /// `(round, applied log, counters, latency samples)` per replica, then
+    /// the network's statistics.
+    fn run<P: Program>(
+        cfg: SimConfig,
+        schedule: Schedule,
+        programs: Vec<P>,
+        view: impl Fn(&P) -> (u64, &RsmState<OneThirdRule>),
+    ) -> (u64, SimStats) {
+        let mut sim = Simulator::new(cfg, schedule, programs);
+        sim.run_for(TimePoint::new(HORIZON));
+        let mut d = Digest::new();
+        let mut longest = 0;
+        for p in sim.programs() {
+            let (round, log) = view(p);
+            longest = longest.max(log.applied().len());
+            d.replica(round, log);
+        }
+        assert!(longest > 100, "the log did real work: {longest} slots");
+        d.sim(sim.stats());
+        (d.0, sim.stats().clone())
+    }
+
+    #[test]
+    fn crashy_alg2_log_is_pinned() {
+        let params = BoundParams::new(N, 1.0, 2.0);
+        let programs: Vec<Alg2Program<MultiSlot<OneThirdRule>>> = (0..N)
+            .map(|p| Alg2Program::new(log(31), ProcessId::new(p), 0, params.alg2_timeout()))
+            .collect();
+        let (digest, stats) = run(
+            SimConfig::normalized(N, 1.0, 2.0).with_seed(17),
+            alternating(
+                BadPeriodConfig::default(),
+                ProcessSet::full(N),
+                GoodKind::PiDown,
+            ),
+            programs,
+            |p| (p.round(), p.state()),
+        );
+        assert!(
+            stats.crashes > 0 && stats.recoveries > 0,
+            "the cell must exercise recovery from stable storage: {stats:?}"
+        );
+        assert_eq!(digest, ALG2_CRASHY, "{stats:?}");
+    }
+
+    #[test]
+    fn lossy_alg3_translated_log_is_pinned() {
+        let params = BoundParams::new(N, 1.0, 2.0);
+        let pi0 = ProcessSet::from_indices(0..N - F);
+        let programs: Vec<Alg3Program<Translated<MultiSlot<OneThirdRule>>>> = (0..N)
+            .map(|p| {
+                Alg3Program::new(
+                    Translated::new(log(32), F),
+                    ProcessId::new(p),
+                    0,
+                    F,
+                    params.alg3_timeout(),
+                )
+            })
+            .collect();
+        let (digest, stats) = run(
+            SimConfig::normalized(N, 1.0, 2.0).with_seed(18),
+            alternating(BadPeriodConfig::lossy(0.5), pi0, GoodKind::PiArbitrary),
+            programs,
+            |p| (p.round(), &p.state().inner),
+        );
+        assert!(stats.dropped > 0, "the cell must lose messages: {stats:?}");
+        assert_eq!(digest, ALG3_LOSSY, "{stats:?}");
+    }
+
+    const ALG2_CRASHY: u64 = 10_617_749_553_133_428_945;
+    const ALG3_LOSSY: u64 = 9_090_913_116_599_366_282;
+}
