@@ -33,6 +33,11 @@
 //! The event queue itself is pluggable ([`SimConfig::scheduler`]): the
 //! default calendar queue or the original binary heap, bit-identical in
 //! dispatch order (see [`crate::scheduler`]).
+//!
+//! Which period is in force is never looked up by time: every boundary is
+//! an [`Event::PeriodStart`] in the queue, and dispatching it moves the
+//! index (`Simulator::period_idx`) that every timing, routing and purge rule
+//! reads — so the cost of an event does not grow with the schedule.
 
 use ho_core::executor::MessageStats;
 use ho_core::process::{ProcessId, ProcessSet};
@@ -43,7 +48,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{DelayTiming, SimConfig, StepTiming};
 use crate::program::{Program, StepKind, WireMsg};
-use crate::schedule::{GoodKind, PeriodKind, Schedule};
+use crate::schedule::{GoodKind, Period, PeriodKind, Schedule};
 use crate::scheduler::{wheel_width, EventQueue};
 use crate::stats::SimStats;
 use crate::time::TimePoint;
@@ -135,6 +140,12 @@ pub struct Simulator<P: Program> {
     /// steady-state broadcasts never allocate.
     fanout: Vec<(u64, ProcessSet)>,
     now: TimePoint,
+    /// Index of the schedule period in force at `now`, moved only by
+    /// [`Event::PeriodStart`]. Sound because those events are pushed first
+    /// at construction: they carry the lowest sequence numbers, so a
+    /// boundary wins every timestamp tie and is dispatched before anything
+    /// that must observe the new period.
+    period_idx: usize,
     seq: u64,
     rng: SmallRng,
     stats: SimStats,
@@ -204,20 +215,14 @@ impl<P: Program> Simulator<P> {
             queue,
             fanout,
             now: TimePoint::ZERO,
+            period_idx: 0,
             seq: 0,
             stats: SimStats::default(),
             telemetry: Telemetry::off(),
         };
         // Period-start events (skip index 0; it is in force at t = 0).
-        let starts: Vec<(usize, TimePoint)> = sim
-            .schedule
-            .periods()
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, period)| (i, period.start))
-            .collect();
-        for (i, start) in starts {
+        for i in 1..sim.schedule.periods().len() {
+            let start = sim.schedule.periods()[i].start;
             sim.push(start, Event::PeriodStart(i));
         }
         // Apply the initial period's forced-down rule, then schedule first
@@ -399,13 +404,32 @@ impl<P: Program> Simulator<P> {
     // ------------------------------------------------------------------
     // Timing rules.
 
-    fn in_good_sync(&self, p: ProcessId, t: TimePoint) -> bool {
-        self.schedule.is_synchronous_at(t, p)
+    /// Index of the period in force at `now`: the cached one, checked
+    /// against the schedule's own lookup in debug builds.
+    fn period_index(&self) -> usize {
+        debug_assert!(std::ptr::eq(
+            &self.schedule.periods()[self.period_idx],
+            self.schedule.at(self.now)
+        ));
+        self.period_idx
+    }
+
+    /// The period in force at `now`.
+    fn period(&self) -> &Period {
+        &self.schedule.periods()[self.period_index()]
+    }
+
+    /// Whether `now` falls in a good period whose `π0` contains `p`.
+    fn in_good_sync(&self, p: ProcessId) -> bool {
+        match self.period().kind {
+            PeriodKind::Good { pi0, .. } => pi0.contains(p),
+            PeriodKind::Bad(_) => false,
+        }
     }
 
     /// Offset of the first step after (re-)entering synchrony or starting.
     fn first_step_offset(&mut self, p: ProcessId) -> f64 {
-        if self.in_good_sync(p, self.now) {
+        if self.in_good_sync(p) {
             match self.cfg.step_timing {
                 StepTiming::WorstCase => self.cfg.phi_plus,
                 StepTiming::Fastest => self.cfg.phi_minus,
@@ -420,7 +444,7 @@ impl<P: Program> Simulator<P> {
 
     /// Gap to the next step for an up process at the current time.
     fn step_gap(&mut self, p: ProcessId) -> f64 {
-        if self.in_good_sync(p, self.now) {
+        if self.in_good_sync(p) {
             match self.cfg.step_timing {
                 StepTiming::WorstCase => self.cfg.phi_plus,
                 StepTiming::Fastest => self.cfg.phi_minus,
@@ -433,13 +457,6 @@ impl<P: Program> Simulator<P> {
         }
     }
 
-    fn bad_config_now(&self) -> Option<crate::config::BadPeriodConfig> {
-        match self.schedule.kind_at(self.now) {
-            PeriodKind::Bad(cfg) => Some(*cfg),
-            PeriodKind::Good { .. } => None,
-        }
-    }
-
     /// `(fast, slow)` speed-band multipliers under the current bad rules.
     fn bad_speed_band(&self) -> (f64, f64) {
         let rules = self.arbitrary_rules();
@@ -447,24 +464,32 @@ impl<P: Program> Simulator<P> {
     }
 
     /// The bad rules applying to non-synchronous behaviour right now: the
-    /// bad period's own config, or (inside a π0-arbitrary good period) the
-    /// most recent bad period's config.
+    /// bad period's own config, or (inside a good period) the most recent
+    /// bad period's config — a backwards walk from the current period,
+    /// one step in an alternating schedule — or the default if the
+    /// schedule has none before now.
     fn arbitrary_rules(&self) -> crate::config::BadPeriodConfig {
-        if let Some(cfg) = self.bad_config_now() {
-            return cfg;
-        }
-        // Inside a good period: reuse the last bad period's config, or the
-        // default if the schedule has none before now.
-        self.schedule
-            .periods()
+        self.schedule.periods()[..=self.period_index()]
             .iter()
-            .filter(|p| p.start <= self.now)
-            .filter_map(|p| match p.kind {
+            .rev()
+            .find_map(|p| match p.kind {
                 PeriodKind::Bad(cfg) => Some(cfg),
                 PeriodKind::Good { .. } => None,
             })
-            .next_back()
             .unwrap_or_default()
+    }
+
+    /// The π0-down purge: no message a `π̄0` process sent before the
+    /// period began is in transit during it.
+    fn purged(&self, from: ProcessId, sent_at: TimePoint) -> bool {
+        let period = self.period();
+        match period.kind {
+            PeriodKind::Good {
+                pi0,
+                kind: GoodKind::PiDown,
+            } => !pi0.contains(from) && sent_at < period.start,
+            _ => false,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -477,7 +502,7 @@ impl<P: Program> Simulator<P> {
         }
 
         // Bad-rules crash roulette (never inside a good period for π0).
-        if !self.in_good_sync(p, self.now) {
+        if !self.in_good_sync(p) {
             let rules = self.arbitrary_rules();
             if rules.crash_prob > 0.0 && self.rng.gen_bool(rules.crash_prob) {
                 self.crash(p, false);
@@ -614,7 +639,7 @@ impl<P: Program> Simulator<P> {
         if !self.schedule.link_up(from, to, self.now) {
             return (true, 0.0);
         }
-        match *self.schedule.kind_at(self.now) {
+        match self.period().kind {
             PeriodKind::Good { pi0, .. } if pi0.contains(from) && pi0.contains(to) => {
                 let delay = match self.cfg.delay_timing {
                     DelayTiming::WorstCase => self.cfg.delta,
@@ -648,19 +673,7 @@ impl<P: Program> Simulator<P> {
         sent_at: TimePoint,
         msg: WireMsg<P::Msg>,
     ) {
-        // π0-down purge: no messages from π̄0 processes are in transit
-        // during the good period.
-        if let PeriodKind::Good {
-            pi0,
-            kind: GoodKind::PiDown,
-        } = *self.schedule.kind_at(self.now)
-        {
-            if !pi0.contains(from) && sent_at < self.schedule.at(self.now).start {
-                self.stats.dropped += 1;
-                return;
-            }
-        }
-        if self.slots[dest.index()].down {
+        if self.purged(from, sent_at) || self.slots[dest.index()].down {
             self.stats.dropped += 1;
             return;
         }
@@ -681,13 +694,7 @@ impl<P: Program> Simulator<P> {
     ) {
         // The π0-down purge depends only on the sender and the shared
         // delivery time, so it gates the whole mask at once.
-        let purge = match *self.schedule.kind_at(self.now) {
-            PeriodKind::Good {
-                pi0,
-                kind: GoodKind::PiDown,
-            } => !pi0.contains(from) && sent_at < self.schedule.at(self.now).start,
-            _ => false,
-        };
+        let purge = self.purged(from, sent_at);
         for dest in recipients.iter() {
             if purge || self.slots[dest.index()].down {
                 self.stats.dropped += 1;
@@ -745,6 +752,7 @@ impl<P: Program> Simulator<P> {
     }
 
     fn on_period_start(&mut self, idx: usize) {
+        self.period_idx = idx;
         // A period boundary is where the link/fault regime changes — the
         // sim-layer analogue of a contact-plan phase change.
         self.telemetry.record(
@@ -781,12 +789,10 @@ impl<P: Program> Simulator<P> {
             PeriodKind::Bad(_) => {
                 // Forced-down processes come back up when the π0-down good
                 // period ends.
-                let forced: Vec<ProcessId> = (0..self.cfg.n)
-                    .map(ProcessId::new)
-                    .filter(|p| self.slots[p.index()].forced_down)
-                    .collect();
-                for p in forced {
-                    self.recover(p);
+                for p in (0..self.cfg.n).map(ProcessId::new) {
+                    if self.slots[p.index()].forced_down {
+                        self.recover(p);
+                    }
                 }
             }
         }
@@ -1005,6 +1011,44 @@ mod tests {
         });
         assert!(fired);
         assert!(sim.now().get() < 1000.0);
+    }
+
+    /// The cached period index against the schedule's own lookup, after
+    /// every event and across `run_for`-style slices — in release builds
+    /// too, where the `debug_assert` in `period_index` is compiled out.
+    /// Integer period lengths under worst-case timing make boundaries tie
+    /// with step and delivery timestamps; the jittered run scatters them.
+    #[test]
+    fn cached_period_is_the_schedule_lookup_at_every_event() {
+        let n = 4;
+        let pi0 = ProcessSet::from_indices(0..n - 1);
+        for (step, delay) in [
+            (StepTiming::WorstCase, DelayTiming::WorstCase),
+            (StepTiming::Jittered, DelayTiming::Jittered),
+        ] {
+            for kind in [GoodKind::PiDown, GoodKind::PiArbitrary] {
+                let cfg = SimConfig::normalized(n, 1.0, 2.0)
+                    .with_seed(5)
+                    .with_step_timing(step)
+                    .with_delay_timing(delay);
+                let schedule =
+                    Schedule::alternating(BadPeriodConfig::lossy(0.3), 3.0, 5.0, 30, pi0, kind);
+                let boundaries = schedule.periods().len() as u64 - 1;
+                let mut sim = Simulator::new(cfg, schedule, vec![Chatter::default(); n]);
+                let mut seen = 0u64;
+                for slice in 1..=10 {
+                    // Slice ends fall inside periods and on boundaries.
+                    let deadline = TimePoint::new(f64::from(slice) * 26.0);
+                    sim.run_until(deadline, |s| {
+                        let cached: *const Period = &s.schedule.periods()[s.period_idx];
+                        assert!(std::ptr::eq(cached, s.schedule.at(s.now)), "{}", s.now);
+                        seen = seen.max(s.period_idx as u64);
+                        false
+                    });
+                }
+                assert_eq!(seen, boundaries, "the run crossed every boundary");
+            }
+        }
     }
 
     #[test]

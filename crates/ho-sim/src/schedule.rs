@@ -284,24 +284,6 @@ impl Schedule {
     pub fn kind_at(&self, t: TimePoint) -> &PeriodKind {
         &self.at(t).kind
     }
-
-    /// Whether `t` falls in a good period whose `π0` contains `p`.
-    #[must_use]
-    pub fn is_synchronous_at(&self, t: TimePoint, p: ho_core::ProcessId) -> bool {
-        match self.kind_at(t) {
-            PeriodKind::Good { pi0, .. } => pi0.contains(p),
-            PeriodKind::Bad(_) => false,
-        }
-    }
-
-    /// Start of the first good period at or after `t`, if any.
-    #[must_use]
-    pub fn next_good_start(&self, t: TimePoint) -> Option<TimePoint> {
-        self.periods
-            .iter()
-            .find(|p| p.start >= t && p.kind.is_good())
-            .map(|p| p.start)
-    }
 }
 
 #[cfg(test)]
@@ -328,13 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn synchrony_respects_pi0() {
-        let s = Schedule::always_good(pi0(), GoodKind::PiArbitrary);
-        assert!(s.is_synchronous_at(TimePoint::new(5.0), ProcessId::new(1)));
-        assert!(!s.is_synchronous_at(TimePoint::new(5.0), ProcessId::new(3)));
-    }
-
-    #[test]
     fn alternating_layout() {
         let s = Schedule::alternating(
             BadPeriodConfig::calm(),
@@ -348,10 +323,6 @@ mod tests {
         assert!(s.kind_at(TimePoint::new(5.0)).is_good());
         assert!(!s.kind_at(TimePoint::new(25.0)).is_good());
         assert!(s.kind_at(TimePoint::new(30.0)).is_good());
-        assert_eq!(
-            s.next_good_start(TimePoint::new(26.0)),
-            Some(TimePoint::new(30.0))
-        );
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //!   of time) per bucket, with a far-overflow tier for events beyond the
 //!   wheel's horizon. Buckets are intrusive linked lists over one shared
 //!   node arena, so event storage is recycled through a free list and the
-//!   arena only ever grows to the queue's high-water mark. Push is `O(1)`;
-//!   pop scans one bucket. Event days are computed **once at push time**
-//!   in integer arithmetic, so cursor advancement never re-derives a day
-//!   from floating point and the two backends agree bit-for-bit on
-//!   dispatch order.
+//!   arena only ever grows to the queue's high-water mark. The day under
+//!   the cursor is kept apart as one sorted run: its bucket list is walked
+//!   and sorted **once**, when the cursor arrives, so a pop is a `Vec::pop`
+//!   and a push onto the cursor day a binary-search insert — neither
+//!   depends on how many events share the day. Every other push is `O(1)`.
+//!   Event days are computed **once at push time** in integer arithmetic,
+//!   so cursor advancement never re-derives a day from floating point and
+//!   the two backends agree bit-for-bit on dispatch order.
 //!
 //! Both backends yield the exact global `(time, seq)` minimum on every pop,
 //! so a simulation run is bit-identical under either — the lockstep suite
@@ -95,8 +98,9 @@ impl<T> Ord for HeapEntry<T> {
 /// Arena null index: end of a bucket or free list.
 const NIL: u32 = u32::MAX;
 
-/// An arena node: one pending event on an intrusive singly-linked list
-/// (its day's bucket, the far tier, or the free list).
+/// An arena node: one pending event, on an intrusive singly-linked list
+/// (its day's bucket, the far tier, or the free list) or referenced from
+/// the cursor day's sorted run.
 struct Node<T> {
     /// Integer day index, fixed at push time: `floor(at / width)` clamped
     /// to the cursor. All ordering decisions after the push are integer.
@@ -109,15 +113,22 @@ struct Node<T> {
 }
 
 /// The calendar queue: `NBUCKETS` bucket lists plus a far tier, all
-/// intrusive lists over one shared node arena. The arena grows to the
-/// queue's global high-water mark and is then permanently warm — a rare
-/// event burst never grows per-bucket storage (there is none), which is
-/// what keeps steady-state rounds allocation-free.
+/// intrusive lists over one shared node arena, and the cursor day as one
+/// sorted run. The arena and the run grow to the queue's global high-water
+/// mark and are then permanently warm — a rare event burst never grows
+/// per-bucket storage (there is none), which is what keeps steady-state
+/// rounds allocation-free.
+///
+/// Invariant: bucket lists hold only days *after* the cursor; `today`
+/// holds every pending node of the cursor day.
 pub(crate) struct CalendarQueue<T> {
     arena: Vec<Node<T>>,
     /// Free-list head: nodes recycled by pops.
     free: u32,
-    /// Per-bucket list heads, cursor `day & mask`.
+    /// The cursor day's pending events as `(at, seq, node)`, sorted
+    /// descending by `(at, seq)`: the global minimum is the last element.
+    today: Vec<(TimePoint, u64, u32)>,
+    /// Per-bucket list heads, bucket `day & mask`.
     buckets: Vec<u32>,
     /// Far-tier list head: events at or beyond `day + NBUCKETS` days.
     far: u32,
@@ -126,7 +137,7 @@ pub(crate) struct CalendarQueue<T> {
     inv_width: f64,
     /// Current day: every pending near event has `node.day >= day`.
     day: u64,
-    /// Events currently on the wheel (the buckets).
+    /// Events currently on the wheel (`today` plus the buckets).
     near: usize,
 }
 
@@ -137,6 +148,7 @@ impl<T> CalendarQueue<T> {
             // coalesced broadcasts; start with headroom over n.
             arena: Vec::with_capacity(reserve.saturating_mul(4)),
             free: NIL,
+            today: Vec::with_capacity(reserve.saturating_mul(4)),
             buckets: vec![NIL; NBUCKETS],
             far: NIL,
             far_len: 0,
@@ -150,6 +162,7 @@ impl<T> CalendarQueue<T> {
     fn reset(&mut self, width: f64) {
         self.arena.clear();
         self.free = NIL;
+        self.today.clear();
         self.buckets.fill(NIL);
         self.far = NIL;
         self.far_len = 0;
@@ -187,35 +200,45 @@ impl<T> CalendarQueue<T> {
 
     fn push(&mut self, at: TimePoint, seq: u64, item: T) {
         // `as u64` truncates toward zero — floor, for non-negative time.
-        // The clamp guards the floating-point edge where an event pushed at
-        // the current instant rounds into an already-passed day; placing it
+        // The clamp covers a push whose own day is already behind the
+        // cursor — the floating-point edge where an event pushed at the
+        // current instant rounds into a passed day, or a push made after a
+        // deadline-limited pop parked the cursor on a later day: placing it
         // on the cursor day keeps its true `(at, seq)` key authoritative.
         let day = ((at.get() * self.inv_width) as u64).max(self.day);
         let i = self.alloc(day, at, seq, item);
-        if day < self.day + NBUCKETS as u64 {
-            let bucket = (day & self.mask) as usize;
-            self.arena[i as usize].next = self.buckets[bucket];
-            self.buckets[bucket] = i;
-            self.near += 1;
-        } else {
+        if day >= self.day + NBUCKETS as u64 {
             self.arena[i as usize].next = self.far;
             self.far = i;
             self.far_len += 1;
+            return;
+        }
+        self.near += 1;
+        if day == self.day {
+            let pos = self.today.partition_point(|&(a, s, _)| (a, s) > (at, seq));
+            self.today.insert(pos, (at, seq, i));
+        } else {
+            let bucket = (day & self.mask) as usize;
+            self.arena[i as usize].next = self.buckets[bucket];
+            self.buckets[bucket] = i;
         }
     }
 
     /// Pops the global `(at, seq)` minimum if its time is `<= deadline`.
     ///
-    /// Within the cursor bucket only nodes stamped with the current day
-    /// are candidates; the minimum among them *is* the global minimum,
-    /// because a day maps to exactly one bucket and every earlier day has
-    /// been exhausted before the cursor advanced past it.
+    /// The last element of `today` *is* the global minimum: a day maps to
+    /// exactly one bucket, and every earlier day was exhausted before the
+    /// cursor advanced past it.
     fn pop_at_most(&mut self, deadline: TimePoint) -> Option<(TimePoint, T)> {
-        loop {
-            if self.near == 0 {
-                if self.far_len == 0 {
-                    return None;
+        while self.today.is_empty() {
+            if self.near > 0 {
+                self.day += 1;
+                if self.day & self.mask == 0 {
+                    // A wheel wrap advances the horizon by a full ring:
+                    // pull newly-reachable far events onto the wheel.
+                    self.migrate();
                 }
+            } else if self.far_len > 0 {
                 // Jump the cursor straight to the earliest far day instead
                 // of spinning the wheel through empty years.
                 let mut jump = u64::MAX;
@@ -228,51 +251,38 @@ impl<T> CalendarQueue<T> {
                 debug_assert!(jump >= self.day);
                 self.day = jump;
                 self.migrate();
+            } else {
+                return None;
             }
-            let bucket = (self.day & self.mask) as usize;
-            // Scan the bucket list for the minimal current-day node,
-            // remembering its predecessor for the unlink.
-            let mut best: Option<(TimePoint, u64, u32, u32)> = None;
-            let mut prev = NIL;
-            let mut i = self.buckets[bucket];
-            while i != NIL {
-                let node = &self.arena[i as usize];
-                if node.day == self.day
-                    && best.is_none_or(|(at, seq, _, _)| (node.at, node.seq) < (at, seq))
-                {
-                    best = Some((node.at, node.seq, i, prev));
-                }
-                prev = i;
-                i = node.next;
-            }
-            match best {
-                Some((at, _, i, prev)) => {
-                    if at > deadline {
-                        return None;
-                    }
-                    let next = self.arena[i as usize].next;
-                    if prev == NIL {
-                        self.buckets[bucket] = next;
-                    } else {
-                        self.arena[prev as usize].next = next;
-                    }
-                    let node = &mut self.arena[i as usize];
-                    let item = node.item.take().expect("pending node holds its event");
-                    node.next = self.free;
-                    self.free = i;
-                    self.near -= 1;
-                    return Some((at, item));
-                }
-                None => {
-                    self.day += 1;
-                    if self.day & self.mask == 0 {
-                        // A wheel wrap advances the horizon by a full ring:
-                        // pull newly-reachable far events onto the wheel.
-                        self.migrate();
-                    }
-                }
-            }
+            self.open_day();
         }
+        let &(at, _, i) = self.today.last().expect("checked non-empty");
+        if at > deadline {
+            return None;
+        }
+        self.today.pop();
+        let node = &mut self.arena[i as usize];
+        let item = node.item.take().expect("pending node holds its event");
+        node.next = self.free;
+        self.free = i;
+        self.near -= 1;
+        Some((at, item))
+    }
+
+    /// The cursor has arrived on a new day: moves that day's bucket list —
+    /// all of it, since the horizon admits one day per bucket — into
+    /// `today` and sorts it. `seq` is unique, so the unstable sort is exact.
+    fn open_day(&mut self) {
+        let bucket = (self.day & self.mask) as usize;
+        let mut i = std::mem::replace(&mut self.buckets[bucket], NIL);
+        while i != NIL {
+            let node = &self.arena[i as usize];
+            debug_assert_eq!(node.day, self.day);
+            self.today.push((node.at, node.seq, i));
+            i = node.next;
+        }
+        self.today
+            .sort_unstable_by_key(|&(at, seq, _)| Reverse((at, seq)));
     }
 
     /// Relinks far nodes whose day now falls inside the horizon onto the
@@ -426,6 +436,44 @@ mod tests {
         }
     }
 
+    /// Both backends fed one trace: every pop — and the length after it —
+    /// must agree, so a test only has to choose what to push and when.
+    struct Lockstep {
+        heap: EventQueue<u32>,
+        wheel: EventQueue<u32>,
+        seq: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                heap: EventQueue::new(SchedulerKind::Heap, 0.5, 4),
+                wheel: EventQueue::new(SchedulerKind::Wheel, 0.5, 4),
+                seq: 0,
+            }
+        }
+
+        fn push(&mut self, at: f64) {
+            let at = TimePoint::new(at);
+            self.heap.push(at, self.seq, self.seq as u32);
+            self.wheel.push(at, self.seq, self.seq as u32);
+            self.seq += 1;
+        }
+
+        fn pop(&mut self, deadline: TimePoint) -> Option<(f64, u32)> {
+            let expect = self.heap.pop_at_most(deadline);
+            assert_eq!(self.wheel.pop_at_most(deadline), expect);
+            assert_eq!(self.wheel.len(), self.heap.len());
+            expect.map(|(at, item)| (at.get(), item))
+        }
+
+        fn drain(&mut self) -> Vec<u32> {
+            std::iter::from_fn(|| self.pop(FAR))
+                .map(|(_, x)| x)
+                .collect()
+        }
+    }
+
     /// The wheel replays a randomized push/pop trace in exactly the heap's
     /// order — interleaved pushes only at the current frontier, as in the
     /// engine (events are only scheduled while dispatching one).
@@ -433,15 +481,8 @@ mod tests {
     fn wheel_matches_heap_on_random_traces() {
         for seed in 0..20u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut heap = EventQueue::new(SchedulerKind::Heap, 0.5, 4);
-            let mut wheel = EventQueue::new(SchedulerKind::Wheel, 0.5, 4);
-            let mut seq = 0u64;
-            let mut now = 0.0f64;
-            let push = |heap: &mut EventQueue<u32>,
-                        wheel: &mut EventQueue<u32>,
-                        rng: &mut SmallRng,
-                        now: f64,
-                        seq: &mut u64| {
+            let mut q = Lockstep::new();
+            let push = |q: &mut Lockstep, rng: &mut SmallRng, now: f64| {
                 // Mostly near events, occasionally far beyond the horizon,
                 // with repeated exact timestamps to exercise FIFO.
                 let dt = match rng.gen_range(0u32..10) {
@@ -449,28 +490,113 @@ mod tests {
                     1..=3 => 2.0,
                     _ => rng.gen_range(0.0..8.0),
                 };
-                let at = TimePoint::new(now + dt);
-                heap.push(at, *seq, *seq as u32);
-                wheel.push(at, *seq, *seq as u32);
-                *seq += 1;
+                q.push(now + dt);
             };
             for _ in 0..50 {
-                push(&mut heap, &mut wheel, &mut rng, now, &mut seq);
+                push(&mut q, &mut rng, 0.0);
             }
-            while heap.len() > 0 {
-                let expect = heap.pop_at_most(FAR).expect("non-empty");
-                let got = wheel.pop_at_most(FAR).expect("wheel has the same events");
-                assert_eq!(got, expect, "seed {seed}");
-                now = expect.0.get();
+            while let Some((now, _)) = q.pop(FAR) {
                 // Simulate dispatch-time scheduling at the new frontier.
                 if rng.gen_bool(0.6) {
-                    push(&mut heap, &mut wheel, &mut rng, now, &mut seq);
+                    push(&mut q, &mut rng, now);
                 }
-                if seq > 600 {
+                if q.seq > 600 {
                     break;
                 }
             }
         }
+    }
+
+    #[test]
+    fn pushes_onto_the_half_drained_cursor_day_pop_in_order() {
+        let mut q = Lockstep::new();
+        // Day 4 (width 0.5) holds items 0..5; item 5 waits on day 20.
+        for at in [2.3, 2.05, 2.4, 2.1, 2.2, 10.2] {
+            q.push(at);
+        }
+        assert_eq!(q.pop(FAR), Some((2.05, 1)));
+        assert_eq!(q.pop(FAR), Some((2.1, 3)));
+        // The frontier is 2.1, mid-day: a tie with the last popped time, a
+        // tie with a pending event (FIFO puts it second), one below and one
+        // above everything pending.
+        for at in [2.1, 2.3, 2.15, 2.45] {
+            q.push(at);
+        }
+        let day4: Vec<u32> = (0..7).map(|_| q.pop(FAR).expect("day 4").1).collect();
+        assert_eq!(day4, vec![6, 8, 4, 0, 7, 2, 9]);
+        // A deadline short of the next event parks the cursor on day 20
+        // with the clock still at 2.45: later pushes for days 11 and 19
+        // are clamped onto the cursor day and keep their true keys.
+        assert_eq!(q.pop(TimePoint::new(5.0)), None);
+        for at in [5.5, 10.2, 9.9, 10.1] {
+            q.push(at);
+        }
+        assert_eq!(q.drain(), vec![10, 12, 13, 5, 11]);
+    }
+
+    /// The engine's `run_for` slices: each deadline ends in a `None` that
+    /// may fall in the middle of a day, and the next slice resumes there.
+    #[test]
+    fn deadline_slices_resume_in_the_middle_of_a_day() {
+        for seed in 0..20u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut q = Lockstep::new();
+            for _ in 0..40 {
+                q.push(rng.gen_range(0.0..4.0));
+            }
+            let mut popped = 0;
+            for slice in 1..=10 {
+                // Slice ends off the day grid (days end at multiples of 0.5).
+                let deadline = TimePoint::new(f64::from(slice) * 3.7);
+                while let Some((now, _)) = q.pop(deadline) {
+                    popped += 1;
+                    for _ in 0..rng.gen_range(0u32..3) {
+                        if q.seq < 400 {
+                            q.push(now + rng.gen_range(0.0..3.0));
+                        }
+                    }
+                }
+            }
+            popped += q.drain().len();
+            assert_eq!(popped as u64, q.seq, "seed {seed}: every event popped once");
+        }
+    }
+
+    #[test]
+    fn dense_day_with_interleaved_frontier_pushes() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut q = Lockstep::new();
+        // 500 events inside one bucket width, on a coarse lattice so exact
+        // timestamp ties are common.
+        for _ in 0..500 {
+            q.push(7.0 + f64::from(rng.gen_range(0u32..64)) / 128.0);
+        }
+        let mut last = 0.0;
+        while let Some((now, _)) = q.pop(FAR) {
+            assert!(now >= last, "time never runs backwards");
+            last = now;
+            if q.seq < 1000 && rng.gen_bool(0.5) {
+                q.push(now + f64::from(rng.gen_range(0u32..16)) / 128.0);
+            }
+        }
+        assert!(q.seq >= 700, "pushes were interleaved: {}", q.seq);
+    }
+
+    #[test]
+    fn far_jump_lands_on_a_day_shared_with_migrated_far_events() {
+        let mut q = Lockstep::new();
+        // All but item 0 start in the far tier (days 2000, 2020 and 4000
+        // against a 128-day horizon). Draining item 0 empties the wheel, so
+        // the cursor jumps to day 2000, where three migrated events — two
+        // tied — are sorted on arrival.
+        for at in [0.1, 1000.3, 1000.1, 2000.0, 1000.3, 1010.0, 1000.2] {
+            q.push(at);
+        }
+        assert_eq!(q.pop(FAR), Some((0.1, 0)));
+        assert_eq!(q.pop(FAR), Some((1000.1, 2)));
+        // A frontier push onto the landing day, between migrated events.
+        q.push(1000.25);
+        assert_eq!(q.drain(), vec![6, 7, 1, 4, 5, 3]);
     }
 
     #[test]

@@ -20,8 +20,10 @@ use heardof::core::algorithms::{LastVoting, OneThirdRule, UniformVoting};
 use heardof::core::contact::{ContactPlan, ContactPlanAdversary};
 use heardof::core::executor::RoundExecutor;
 use heardof::core::observer::RoundObserver;
-use heardof::core::process::ProcessSet;
+use heardof::core::pool::PayloadPool;
+use heardof::core::process::{ProcessId, ProcessSet};
 use heardof::core::round::Round;
+use heardof::core::send_plan::{PlanSlot, PlanSpares, SendPlan};
 use heardof::core::telemetry::Telemetry;
 use heardof::core::trace::TraceMode;
 use heardof::core::translation::Translated;
@@ -29,7 +31,10 @@ use heardof::core::HoAlgorithm;
 use heardof::predicates::monitor::{ScenarioMonitor, WindowMonitor};
 use heardof::predicates::{Alg2Program, Alg3Program, BoundParams};
 use heardof::rsm::{FlowControl, LogDriver, MultiSlot, RsmConfig, WorkloadSpec};
-use heardof::sim::{GoodKind, Program, Schedule, SimConfig, Simulator, TimePoint};
+use heardof::sim::{
+    BadPeriodConfig, DelayTiming, GoodKind, Program, Schedule, SimConfig, Simulator, StepKind,
+    StepTiming, TimePoint, WireMsg,
+};
 
 struct CountingAllocator;
 
@@ -607,6 +612,102 @@ fn sim_engine_zero_allocations_per_round_in_steady_state() {
         digest.events_dropped > 0,
         "per-dispatch events must wrap the ring over a 400-unit window"
     );
+}
+
+/// A program that never touches the allocator once warm, so that every
+/// allocation counted while it runs is the engine's own: it broadcasts a
+/// counter through a pool-backed plan slot, then receives the freshest
+/// buffered message and lets the engine prune everything staler.
+#[derive(Clone)]
+struct PooledChatter {
+    sent: u64,
+    seen: u64,
+    want_send: bool,
+    plan: SendPlan<u64>,
+    spares: PlanSpares<u64>,
+    pool: PayloadPool<u64>,
+}
+
+impl PooledChatter {
+    fn new() -> Self {
+        PooledChatter {
+            sent: 0,
+            seen: 0,
+            want_send: false,
+            plan: SendPlan::Silent,
+            spares: PlanSpares::default(),
+            pool: PayloadPool::new(),
+        }
+    }
+}
+
+impl Program for PooledChatter {
+    type Msg = u64;
+
+    fn next_step(&mut self) -> StepKind<u64> {
+        self.want_send = !self.want_send;
+        if !self.want_send {
+            return StepKind::Receive;
+        }
+        self.sent += 1;
+        PlanSlot::new(&mut self.plan, &mut self.spares, &mut self.pool).broadcast(self.sent);
+        StepKind::Send(self.plan.clone())
+    }
+
+    fn select_message(&mut self, buffer: &[(ProcessId, WireMsg<u64>)]) -> Option<usize> {
+        (0..buffer.len()).max_by_key(|&i| *buffer[i].1)
+    }
+
+    fn on_receive(&mut self, message: Option<(ProcessId, WireMsg<u64>)>) {
+        if let Some((_, m)) = message {
+            self.seen = self.seen.max(*m);
+        }
+    }
+
+    fn on_crash(&mut self) {}
+
+    fn on_recover(&mut self) {}
+
+    fn discard_buffered(&self, msg: &u64) -> bool {
+        *msg <= self.seen
+    }
+}
+
+#[test]
+fn sim_engine_zero_allocations_across_period_boundaries() {
+    // Period boundaries are engine work too: under π0-down with π0 = Π
+    // minus one, every good-period entry forces the outsider down and
+    // purges its in-flight messages, and every bad-period entry recovers
+    // it. 20 warm-up cycles bring the event arena, the cursor day's run
+    // and the buffers to their high-water marks; the next 20 cycles (40
+    // boundaries) must not allocate.
+    let n = 4;
+    let cfg = SimConfig::normalized(n, 1.0, 2.0)
+        .with_seed(17)
+        .with_step_timing(StepTiming::Jittered)
+        .with_delay_timing(DelayTiming::Jittered);
+    let bad = BadPeriodConfig {
+        loss: 0.2,
+        ..BadPeriodConfig::calm()
+    };
+    let pi0 = ProcessSet::from_indices(0..n - 1);
+    let schedule = Schedule::alternating(bad, 6.0, 14.0, 40, pi0, GoodKind::PiDown);
+    let mut sim = Simulator::new(cfg, schedule, vec![PooledChatter::new(); n]);
+    sim.run_for(TimePoint::new(400.0));
+    let before = sim.stats().clone();
+    assert_eq!(
+        allocs_during(|| sim.run_for(TimePoint::new(800.0))),
+        0,
+        "chatter / alternating π0-down minus one / n=4"
+    );
+    let after = sim.stats();
+    assert_eq!(
+        after.crashes - before.crashes,
+        20,
+        "one forced-down per cycle"
+    );
+    assert_eq!(after.recoveries - before.recoveries, 20);
+    assert!(after.delivered() > before.delivered());
 }
 
 /// Allocations while `sim` runs from its current point until every

@@ -26,7 +26,9 @@ use heardof::sim::{
 use proptest::prelude::*;
 
 /// The fault-schedule zoo: every period shape the simulator models, plus a
-/// scheduled-outage contact plan active over the whole run.
+/// scheduled-outage contact plan active over the whole run and two
+/// many-boundary alternations (the wheel is 64 time units round here, so
+/// both cross period boundaries well past one revolution).
 fn schedule_zoo(n: usize) -> Vec<(&'static str, Schedule)> {
     vec![
         (
@@ -77,7 +79,44 @@ fn schedule_zoo(n: usize) -> Vec<(&'static str, Schedule)> {
                 ),
             ),
         ),
+        // π0 = Π minus one under π0-down: the outsider is forced down and
+        // recovered, and its in-flight messages purged (`sent_at <
+        // period.start`), at every boundary (one every 7 or 13 time units).
+        (
+            "alternating_lossy_pi_down_minus_one",
+            Schedule::alternating(
+                BadPeriodConfig::lossy(0.4),
+                7.0,
+                13.0,
+                12,
+                ProcessSet::from_indices(0..n - 1),
+                GoodKind::PiDown,
+            ),
+        ),
+        // Integer period lengths: under worst-case timing (steps every Φ+ =
+        // 1, deliveries after Δ = 2) period starts tie with step and
+        // delivery timestamps, and only the seq tiebreak orders them.
+        (
+            "alternating_crashy_integer_lengths",
+            Schedule::alternating(
+                BadPeriodConfig::default(),
+                3.0,
+                5.0,
+                20,
+                ProcessSet::from_indices(0..n - 1),
+                GoodKind::PiArbitrary,
+            ),
+        ),
     ]
+}
+
+/// One zoo entry by name (a fresh copy for each of a lockstep pair's runs).
+fn zoo_entry(n: usize, name: &str) -> Schedule {
+    let (_, schedule) = schedule_zoo(n)
+        .into_iter()
+        .find(|(s, _)| *s == name)
+        .expect("a zoo entry of that name");
+    schedule
 }
 
 fn config(n: usize, seed: u64, scheduler: SchedulerKind) -> SimConfig {
@@ -171,13 +210,7 @@ fn recorder_histories_identical_across_schedulers_50_seeds() {
     let n = 4;
     for (name, _) in schedule_zoo(n) {
         for seed in 0..50 {
-            let pick = || {
-                schedule_zoo(n)
-                    .into_iter()
-                    .find(|(s, _)| *s == name)
-                    .unwrap()
-                    .1
-            };
+            let pick = || zoo_entry(n, name);
             let (wheel_hist, wheel_stats) = recorder_run(n, seed, pick(), SchedulerKind::Wheel);
             let (heap_hist, heap_stats) = recorder_run(n, seed, pick(), SchedulerKind::Heap);
             assert_eq!(
@@ -195,26 +228,56 @@ fn worst_case_timing_floods_the_queue_with_ties_identically() {
     // grid and every broadcast lands exactly Δ later: the queue is full of
     // equal-timestamp events and dispatch order is decided purely by the
     // FIFO seq tiebreak. Any deviation from strict FIFO in either backend
-    // shows up here.
+    // shows up here. The integer-length alternation adds period starts to
+    // the ties.
     let n = 6;
-    for seed in 0..10 {
-        let run = |scheduler| {
-            let mut sim = Simulator::new(
-                SimConfig::normalized(n, 1.0, 2.0)
-                    .with_seed(seed)
-                    .with_scheduler(scheduler),
-                Schedule::always_good(ProcessSet::full(n), GoodKind::PiDown),
-                vec![Recorder::default(); n],
+    for name in ["always_good_pi_down", "alternating_crashy_integer_lengths"] {
+        for seed in 0..10 {
+            let run = |scheduler| {
+                let mut sim = Simulator::new(
+                    SimConfig::normalized(n, 1.0, 2.0)
+                        .with_seed(seed)
+                        .with_scheduler(scheduler),
+                    zoo_entry(n, name),
+                    vec![Recorder::default(); n],
+                );
+                sim.run_for(TimePoint::new(150.0));
+                let histories: Vec<Vec<(ProcessId, u64)>> =
+                    sim.programs().iter().map(|p| p.received.clone()).collect();
+                (histories, sim.stats().clone())
+            };
+            let (wheel_hist, wheel_stats) = run(SchedulerKind::Wheel);
+            let (heap_hist, heap_stats) = run(SchedulerKind::Heap);
+            assert_eq!(
+                wheel_hist, heap_hist,
+                "{name}/s{seed}: tie-break order diverged"
             );
-            sim.run_for(TimePoint::new(150.0));
-            let histories: Vec<Vec<(ProcessId, u64)>> =
-                sim.programs().iter().map(|p| p.received.clone()).collect();
-            (histories, sim.stats().clone())
-        };
-        let (wheel_hist, wheel_stats) = run(SchedulerKind::Wheel);
-        let (heap_hist, heap_stats) = run(SchedulerKind::Heap);
-        assert_eq!(wheel_hist, heap_hist, "s{seed}: tie-break order diverged");
-        assert_stats_identical(&wheel_stats, &heap_stats, &format!("worst_case/s{seed}"));
+            assert_stats_identical(
+                &wheel_stats,
+                &heap_stats,
+                &format!("{name}/worst_case/s{seed}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn dense_buckets_at_n16_identical_across_schedulers() {
+    // Jittered delays at n = 16 scatter every broadcast into 16 events:
+    // a few hundred pending events over a handful of wheel days, so each
+    // day's run is sorted with dozens of entries and takes frontier pushes
+    // while it drains.
+    let n = 16;
+    for name in ["always_good_pi_down", "alternating_lossy_pi_down_minus_one"] {
+        for seed in 0..5 {
+            let (wheel_hist, wheel_stats) =
+                recorder_run(n, seed, zoo_entry(n, name), SchedulerKind::Wheel);
+            let (heap_hist, heap_stats) =
+                recorder_run(n, seed, zoo_entry(n, name), SchedulerKind::Heap);
+            assert!(wheel_stats.peak_queue_depth > 100, "{name}/s{seed}: dense");
+            assert_eq!(wheel_hist, heap_hist, "{name}/n{n}/s{seed}: histories");
+            assert_stats_identical(&wheel_stats, &heap_stats, &format!("{name}/n{n}/s{seed}"));
+        }
     }
 }
 
@@ -225,11 +288,7 @@ fn alg2_trajectories_identical_across_schedulers() {
     for (name, _) in schedule_zoo(n) {
         for seed in 0..5 {
             let run = |scheduler| {
-                let schedule = schedule_zoo(n)
-                    .into_iter()
-                    .find(|(s, _)| *s == name)
-                    .unwrap()
-                    .1;
+                let schedule = zoo_entry(n, name);
                 let programs: Vec<Alg2Program<OneThirdRule>> = (0..n)
                     .map(|p| {
                         Alg2Program::new(
@@ -272,11 +331,7 @@ fn alg3_trajectories_identical_across_schedulers() {
     for (name, _) in schedule_zoo(n) {
         for seed in 0..5 {
             let run = |scheduler| {
-                let schedule = schedule_zoo(n)
-                    .into_iter()
-                    .find(|(s, _)| *s == name)
-                    .unwrap()
-                    .1;
+                let schedule = zoo_entry(n, name);
                 let programs: Vec<Alg3Program<OneThirdRule>> = (0..n)
                     .map(|p| {
                         Alg3Program::new(
@@ -322,7 +377,7 @@ proptest! {
     fn schedulers_agree_on_random_configurations(
         n in 2usize..=6,
         seed in 0u64..1000,
-        zoo_idx in 0usize..6,
+        zoo_idx in 0usize..8,
         jitter in 0u8..4,
         horizon in 40u64..160,
     ) {
