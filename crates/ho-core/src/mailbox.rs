@@ -22,8 +22,12 @@
 //!   paper's reception-order semantics), but a side index sorted by sender
 //!   makes [`Mailbox::from`] and the duplicate-sender check `O(log n)`
 //!   instead of a linear scan, and deliveries in ascending sender order
-//!   append without searching at all. Predicate evaluation calls `from`
-//!   millions of times in the benches.
+//!   append without searching at all — one message at a time through any
+//!   push, or a whole mailbox in one pass through
+//!   [`Mailbox::try_refill`], which is how a relay that demultiplexes one
+//!   round's messages into many inner mailboxes (the replicated log)
+//!   rebuilds each of them. Predicate evaluation calls `from` millions of
+//!   times in the benches.
 
 use std::fmt;
 use std::sync::Arc;
@@ -97,7 +101,8 @@ pub struct Mailbox<M> {
     from_table: ProcessSet,
     /// Owned payloads retired by [`Mailbox::clear`], kept for
     /// [`Mailbox::push_trusted_recycled`] to `clone_from` into — unicast
-    /// delivery's answer to the broadcast path's recycled `Arc`s.
+    /// delivery's answer to the broadcast path's recycled `Arc`s. Stays
+    /// empty for messages without drop glue, which have nothing to reuse.
     spare_payloads: Vec<M>,
 }
 
@@ -184,6 +189,23 @@ impl<M> Mailbox<M> {
         )
     }
 
+    /// Where a message from `sender` goes in the sorted index: `Ok(pos)`
+    /// if no explicit entry from `sender` exists, `Err(pos)` with the
+    /// existing entry's position otherwise. Deliveries arrive in ascending
+    /// sender order on every hot path, so the overwhelmingly common case is
+    /// a sender past the current maximum — which appends, with no binary
+    /// search and no index shift. This is the one place that test lives.
+    fn vacancy(&self, sender: ProcessId) -> Result<usize, usize> {
+        let max_so_far = self.sorted.last().map(|&i| self.entries[i as usize].0);
+        if max_so_far.is_none_or(|max| max < sender) {
+            return Ok(self.sorted.len());
+        }
+        match self.index_of(sender) {
+            Ok(pos) => Err(pos),
+            Err(pos) => Ok(pos),
+        }
+    }
+
     fn try_push_payload(
         &mut self,
         sender: ProcessId,
@@ -192,12 +214,12 @@ impl<M> Mailbox<M> {
         if self.from_table.contains(sender) {
             return Err(DuplicateSender(sender));
         }
-        match self.index_of(sender) {
-            Ok(_) => Err(DuplicateSender(sender)),
-            Err(pos) => {
+        match self.vacancy(sender) {
+            Ok(pos) => {
                 self.insert_at(pos, sender, payload);
                 Ok(())
             }
+            Err(_) => Err(DuplicateSender(sender)),
         }
     }
 
@@ -211,22 +233,10 @@ impl<M> Mailbox<M> {
             !self.from_table.contains(sender),
             "duplicate sender {sender} in mailbox"
         );
-        // The delivery loop iterates senders in ascending order, so the
-        // overwhelmingly common case appends past the current maximum —
-        // no binary search, no index shift.
-        let max_so_far = self.sorted.last().map(|&i| self.entries[i as usize].0);
-        if max_so_far.is_none_or(|max| max < sender) {
-            self.entries.push((sender, payload));
-            self.sorted.push((self.entries.len() - 1) as u32);
-            return;
-        }
-        let pos = match self.index_of(sender) {
-            Err(pos) => pos,
-            Ok(pos) => {
-                debug_assert!(false, "duplicate sender {sender} in mailbox");
-                pos
-            }
-        };
+        let pos = self.vacancy(sender).unwrap_or_else(|pos| {
+            debug_assert!(false, "duplicate sender {sender} in mailbox");
+            pos
+        });
         self.insert_at(pos, sender, payload);
     }
 
@@ -241,16 +251,22 @@ impl<M> Mailbox<M> {
     /// Releases the round table so the outbox can recycle its buffers, and
     /// retires owned payloads into the spare pool so the next round's
     /// unicast deliveries can [`Clone::clone_from`] into them instead of
-    /// constructing fresh ones.
+    /// constructing fresh ones — for payloads that own something: a
+    /// message without drop glue (`u64`, every OTR/UV round message) has
+    /// no heap for `clone_from` to reuse, so retiring it would only grow
+    /// the pool.
     pub fn clear(&mut self) {
-        for (_, payload) in self.entries.drain(..) {
-            if self.spare_payloads.len() >= SPARE_PAYLOADS {
-                break;
-            }
-            if let Payload::Owned(m) = payload {
-                self.spare_payloads.push(m);
+        if std::mem::needs_drop::<M>() {
+            for (_, payload) in self.entries.drain(..) {
+                if self.spare_payloads.len() >= SPARE_PAYLOADS {
+                    break;
+                }
+                if let Payload::Owned(m) = payload {
+                    self.spare_payloads.push(m);
+                }
             }
         }
+        self.entries.clear();
         self.sorted.clear();
         self.table = None;
         self.from_table = ProcessSet::empty();
@@ -264,6 +280,51 @@ impl<M> Mailbox<M> {
     /// present.
     pub fn try_push(&mut self, sender: ProcessId, message: M) -> Result<(), DuplicateSender> {
         self.try_push_payload(sender, Payload::Owned(message))
+    }
+
+    /// Empties the mailbox ([`Mailbox::clear`]) and refills it with owned
+    /// messages, rejecting duplicates: the same mailbox as one
+    /// [`Mailbox::try_push`] per item, built in one pass. A relay that
+    /// demultiplexes messages it iterates in ascending sender order (the
+    /// replicated log, once per live slot per round) pays one comparison
+    /// and one append per message: a sender past every sender so far
+    /// cannot be a duplicate in a freshly cleared mailbox, so the search is
+    /// not skipped but unnecessary. Anything out of order takes the
+    /// checked `try_push`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DuplicateSender`] at the first sender seen twice; the
+    /// mailbox then holds the messages before it.
+    pub fn try_refill(
+        &mut self,
+        messages: impl IntoIterator<Item = (ProcessId, M)>,
+    ) -> Result<(), DuplicateSender> {
+        self.clear();
+        let mut max_so_far: Option<ProcessId> = None;
+        for (sender, message) in messages {
+            if max_so_far.is_none_or(|max| max < sender) {
+                max_so_far = Some(sender);
+                // Room first, entry second. A value that is live across
+                // `push`'s call into the allocator is kept in memory for
+                // the unwind path: the entry was assembled on the stack
+                // from narrow stores and copied out with wide loads — a
+                // store-forwarding stall per message, 18 % of the
+                // replicated log's run. With room proved beforehand
+                // (`reserve` guarantees it, the assertion says so to the
+                // compiler) `push` cannot grow and stores the fields
+                // straight into place.
+                if self.entries.len() == self.entries.capacity() {
+                    self.entries.reserve(1);
+                }
+                assert!(self.entries.len() < self.entries.capacity());
+                self.entries.push((sender, Payload::Owned(message)));
+                self.sorted.push((self.entries.len() - 1) as u32);
+            } else {
+                self.try_push(sender, message)?;
+            }
+        }
+        Ok(())
     }
 
     /// Adds a shared message from `sender`, rejecting duplicates
@@ -334,9 +395,11 @@ impl<M> Mailbox<M> {
     /// retired by [`Mailbox::clear`] when one is available: the clone goes
     /// through [`Clone::clone_from`], which reuses the retired payload's
     /// heap for types that implement it (`Vec`, `String`, nested
-    /// containers). Returns whether a retired payload was reused. Duplicate
-    /// senders are a caller bug (debug-asserted), as in
-    /// [`Mailbox::push_trusted`].
+    /// containers). Returns whether the construction needed no fresh buffer:
+    /// a retired payload was reused, or the message type owns no heap at
+    /// all (no drop glue — such payloads are never retired, see
+    /// [`Mailbox::clear`]). Duplicate senders are a caller bug
+    /// (debug-asserted), as in [`Mailbox::push_trusted`].
     pub(crate) fn push_trusted_recycled(&mut self, sender: ProcessId, source: &M) -> bool
     where
         M: Clone,
@@ -349,7 +412,7 @@ impl<M> Mailbox<M> {
             }
             None => {
                 self.push_payload_trusted(sender, Payload::Owned(source.clone()));
-                false
+                !std::mem::needs_drop::<M>()
             }
         }
     }
@@ -687,6 +750,16 @@ mod tests {
         ProcessId::new(i)
     }
 
+    /// A seeded xorshift64 stream for the randomized tests.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
     #[test]
     fn senders_is_support() {
         let mb: Mailbox<u32> = [(p(0), 7), (p(2), 9)].into_iter().collect();
@@ -858,6 +931,68 @@ mod tests {
     }
 
     #[test]
+    fn clear_recycles_only_payloads_that_own_something() {
+        // A payload without drop glue has no heap for `clone_from` to
+        // reuse: retiring it would only grow the spare pool, which nothing
+        // on the `push` path ever drains.
+        let mut plain: Mailbox<u64> = Mailbox::with_capacity(7);
+        let mut owning: Mailbox<Vec<u8>> = Mailbox::with_capacity(7);
+        for cycle in 0..1000u64 {
+            plain.clear();
+            owning.clear();
+            for q in 0..7 {
+                plain.push(p(q), cycle);
+                owning.push(p(q), vec![q as u8; 3]);
+            }
+        }
+        plain.clear();
+        owning.clear();
+        assert!(plain.spare_payloads.is_empty());
+        assert!(!owning.spare_payloads.is_empty());
+        assert!(owning.spare_payloads.len() <= SPARE_PAYLOADS);
+        assert!(owning.push_trusted_recycled(p(0), &vec![1, 2]));
+        // Without a retired payload an owning message takes a fresh buffer;
+        // a plain one never needs any.
+        assert!(!Mailbox::empty().push_trusted_recycled(p(0), &vec![1u8, 2]));
+        assert!(plain.push_trusted_recycled(p(0), &1));
+    }
+
+    #[test]
+    fn append_test_still_rejects_table_senders() {
+        // `try_push` appends without searching when the sender is past
+        // every *explicit* sender — which must not let through a sender
+        // the round table already delivered, above or below all of them.
+        let n = 12;
+        let table: Arc<Vec<SendPlan<u64>>> =
+            Arc::new((0..n).map(|q| SendPlan::broadcast(q as u64)).collect());
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        for trial in 0..200 {
+            let mask = next() as u128 & ((1 << n) - 1);
+            let via_table: ProcessSet = (0..n).filter(|q| mask >> q & 1 == 1).map(p).collect();
+            let mut mb = Mailbox::empty();
+            mb.deliver_table(Arc::clone(&table), via_table);
+            // Explicit senders in ascending order: each one appends.
+            for q in (0..n).map(p).filter(|&q| !via_table.contains(q)) {
+                if next() & 1 == 0 {
+                    assert_eq!(mb.try_push(q, 100), Ok(()), "trial {trial}");
+                }
+            }
+            let before: Vec<(ProcessId, u64)> = mb.iter().map(|(q, m)| (q, *m)).collect();
+            for q in via_table.iter() {
+                assert_eq!(mb.try_push(q, 7), Err(DuplicateSender(q)), "trial {trial}");
+                assert_eq!(
+                    mb.try_push_shared(q, Arc::new(7)),
+                    Err(DuplicateSender(q)),
+                    "trial {trial}"
+                );
+            }
+            let after: Vec<(ProcessId, u64)> = mb.iter().map(|(q, m)| (q, *m)).collect();
+            assert_eq!(after, before, "trial {trial}: a rejected push left a trace");
+            assert_eq!(mb.len(), before.len());
+        }
+    }
+
+    #[test]
     fn count_and_quorum() {
         let mb: Mailbox<u32> = [(p(0), 5), (p(1), 5), (p(2), 8)].into_iter().collect();
         assert_eq!(mb.count_equal(&5), 2);
@@ -917,13 +1052,7 @@ mod tests {
     fn mode_matches_naive_counter_up_to_max_processes() {
         // Randomized equivalence across both paths (stack-buffered ≤ 16,
         // sorted spill above) for every size the bitset supports.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
         for trial in 0..300 {
             let n = 1 + (next() % crate::process::MAX_PROCESSES as u64) as usize;
             // Small domains force heavy ties; larger ones force singletons.

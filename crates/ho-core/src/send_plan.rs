@@ -397,7 +397,8 @@ pub struct DeliveryStats {
     /// Payload constructions: one per delivered unicast message (broadcast
     /// deliveries share the plan's payload and construct nothing).
     pub clones: u64,
-    /// Clones served from the mailbox's retired-payload pool.
+    /// Clones that needed no fresh buffer: served from the mailbox's
+    /// retired-payload pool, or of a message type that owns no heap.
     pub recycled: u64,
 }
 
@@ -631,9 +632,9 @@ mod tests {
     #[test]
     fn outbox_delivery_respects_ho_and_destinations() {
         let plans = vec![
-            SendPlan::broadcast(100u64), // p0 broadcasts
-            SendPlan::to(p(0), 200),     // p1 unicasts to p0 only
-            SendPlan::silent(),          // p2 silent
+            SendPlan::broadcast(vec![100u64]), // p0 broadcasts
+            SendPlan::to(p(0), vec![200]),     // p1 unicasts to p0 only
+            SendPlan::silent(),                // p2 silent
         ];
         let outbox = Outbox::from_plans(plans);
         assert_eq!(outbox.len(), 3);
@@ -651,10 +652,11 @@ mod tests {
             }
         );
         assert_eq!(mb.senders(), ProcessSet::from_indices([0, 1]));
-        assert_eq!(mb.from(p(1)), Some(&200));
+        assert_eq!(mb.from(p(1)), Some(&vec![200]));
 
         // After a clear, the same delivery is served from the retired
-        // payload — a construction, but no fresh buffer.
+        // payload — a construction, but no fresh buffer. (Payloads that
+        // own no heap are not retired: they never need a buffer.)
         mb.clear();
         assert_eq!(
             outbox.deliver_into(p(0), ProcessSet::full(3), &mut mb),
@@ -663,7 +665,7 @@ mod tests {
                 recycled: 1
             }
         );
-        assert_eq!(mb.from(p(1)), Some(&200));
+        assert_eq!(mb.from(p(1)), Some(&vec![200]));
 
         // p1 hears everyone but only the broadcast addresses it — shared,
         // so zero deep clones.

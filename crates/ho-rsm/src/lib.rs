@@ -57,6 +57,6 @@ pub use checker::{
 pub use driver::{LogDriver, ServiceStats};
 pub use shard::{shard_of, shard_seed, ShardSpec, ShardedLogDriver, MAX_SHARDS, SHARD_SHIFT};
 pub use slots::{
-    FlowControl, MultiSlot, ReplicaStats, RsmConfig, RsmMessage, RsmState, SlotEntry, SlotPayload,
+    FlowControl, MultiSlot, ReplicaStats, RsmConfig, RsmMessage, RsmState, SlotPayload,
 };
 pub use workload::{Command, WorkloadSpec, WorkloadState};

@@ -26,14 +26,23 @@
 //! A round bundle ([`RsmMessage`]) carries, per window slot, either the
 //! running instance's round message or the slot's decided value — so a
 //! replica that already decided a slot keeps *teaching* the decision to
-//! slower peers at zero extra cost. Replicas that fall more than `depth`
-//! slots behind are served by **backfill**: every bundle also carries a
-//! bounded run of applied values starting at the lowest `committed` floor
-//! the sender heard, letting an isolated replica re-join after the
-//! partition heals without the unbounded prefix-shipping of
-//! `RepeatedConsensus`.
+//! slower peers at zero extra cost. The window entries are **positional**:
+//! `entries[i]` is the sender's view of slot `committed + i`, and nothing
+//! else in the bundle names a slot. A receiver hosting slot `s` therefore
+//! reads sender `q`'s line for it at offset `s − committed_q` — one
+//! subtraction and one bounds check, whatever the two replicas' floors
+//! are. A bundle whose window does not overlap the receiver's (wholly
+//! behind: `committed + depth ≤ next`; wholly ahead: `committed ≥ next +
+//! depth`) has no entry at any offset the receiver asks for: it feeds no
+//! inner mailbox, and the decided values in it fall outside the
+//! receiver's window and are ignored. Replicas that fall more than
+//! `depth` slots behind are served by **backfill** instead: every bundle
+//! also carries a bounded run of applied values starting at the lowest
+//! `committed` floor the sender heard, letting an isolated replica
+//! re-join after the partition heals without the unbounded
+//! prefix-shipping of `RepeatedConsensus`.
 //!
-//! ## Allocation discipline
+//! ## Allocation discipline and cost per round
 //!
 //! The bundle is written through the executor's pooled
 //! [`PlanSlot`](ho_core::send_plan::PlanSlot) (entry and backfill vectors
@@ -42,6 +51,13 @@
 //! [`PayloadPool`] — so in steady state a pipelined broadcast algorithm
 //! performs **zero** heap allocations per round, however many slots are in
 //! flight (`tests/alloc_steady_state.rs`).
+//!
+//! A round costs a replica O(n·depth) cheap steps besides the `depth`
+//! inner transitions themselves: each of the at most n bundles heard is
+//! scanned once for decided entries, and each live cell's inner mailbox is
+//! refilled in one in-order pass over the bundles
+//! ([`Mailbox::try_refill`]) — a positional lookup, a sender comparison
+//! and an append per message, with no search on either side.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -177,23 +193,20 @@ pub enum SlotPayload<M> {
     Open,
 }
 
-/// One window slot's line in a bundle.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SlotEntry<M> {
-    /// Absolute slot index.
-    pub slot: u64,
-    /// The sender's view of it.
-    pub payload: SlotPayload<M>,
-}
-
 /// The per-round bundle: one message multiplexing every live slot, plus
 /// the catch-up machinery.
+///
+/// Window entries are **positional**: `entries[i]` is the sender's view of
+/// slot `committed + i`. The slot index is not carried per entry, so it
+/// has one home and a receiver finds a slot's entry by offset, not by
+/// search.
 #[derive(Debug, PartialEq)]
 pub struct RsmMessage<M> {
     /// The sender's applied-log length (its commit floor).
     pub committed: u64,
-    /// One entry per slot in the sender's window, ascending by slot.
-    pub entries: Vec<SlotEntry<M>>,
+    /// The sender's window, one entry per slot: `entries[i]` is slot
+    /// `committed + i`.
+    pub entries: Vec<SlotPayload<M>>,
     /// First slot covered by `backfill`.
     pub backfill_start: u64,
     /// Applied values for laggards: slots `backfill_start..` in order.
@@ -228,6 +241,18 @@ impl<M> RsmMessage<M> {
             entries: Vec::new(),
             backfill_start: 0,
             backfill: Vec::new(),
+        }
+    }
+
+    /// The round message the sender's running instance of `slot` sent, if
+    /// `slot` is in the sender's window and still running there. A window
+    /// that does not reach `slot` — wholly behind or wholly ahead of the
+    /// receiver's — answers `None` for it.
+    fn running(&self, slot: u64) -> Option<&M> {
+        let i = usize::try_from(slot.checked_sub(self.committed)?).ok()?;
+        match self.entries.get(i)? {
+            SlotPayload::Running(m) => Some(m),
+            SlotPayload::Decided(_) | SlotPayload::Open => None,
         }
     }
 }
@@ -616,7 +641,7 @@ impl<A: HoAlgorithm<Value = u64>> MultiSlot<A> {
         m.entries.clear();
         for slot in next..next + depth {
             let cell = &state.cells[(slot % depth) as usize];
-            let payload = match cell.decided {
+            m.entries.push(match cell.decided {
                 Some(v) => SlotPayload::Decided(v),
                 None => match &cell.plan {
                     SendPlan::Broadcast(h) => SlotPayload::Running((**h).clone()),
@@ -625,8 +650,7 @@ impl<A: HoAlgorithm<Value = u64>> MultiSlot<A> {
                         unreachable!("unicast cells take the per-destination path")
                     }
                 },
-            };
-            m.entries.push(SlotEntry { slot, payload });
+            });
         }
     }
 
@@ -639,14 +663,13 @@ impl<A: HoAlgorithm<Value = u64>> MultiSlot<A> {
         self.write_bundle_header(state, &mut m);
         for slot in next..next + depth {
             let cell = &state.cells[(slot % depth) as usize];
-            let payload = match cell.decided {
+            m.entries.push(match cell.decided {
                 Some(v) => SlotPayload::Decided(v),
                 None => match cell.plan.message_for(q) {
                     Some(msg) => SlotPayload::Running(msg.clone()),
                     None => SlotPayload::Open,
                 },
-            };
-            m.entries.push(SlotEntry { slot, payload });
+            });
         }
         m
     }
@@ -845,9 +868,9 @@ impl<A: HoAlgorithm<Value = u64>> HoAlgorithm for MultiSlot<A> {
                     state.stats.backfill_adopted += 1;
                 }
             }
-            for e in &m.entries {
-                if let SlotPayload::Decided(v) = e.payload {
-                    state.record_decided(e.slot, v);
+            for (i, e) in m.entries.iter().enumerate() {
+                if let SlotPayload::Decided(v) = *e {
+                    state.record_decided(m.committed + i as u64, v);
                 }
             }
         }
@@ -860,14 +883,12 @@ impl<A: HoAlgorithm<Value = u64>> HoAlgorithm for MultiSlot<A> {
                 continue;
             }
             let slot = state.cells[idx].slot;
-            inner_mb.clear();
-            for (q, m) in mb.iter() {
-                if let Some(e) = m.entries.iter().find(|e| e.slot == slot) {
-                    if let SlotPayload::Running(payload) = &e.payload {
-                        inner_mb.push(q, payload.clone());
-                    }
-                }
-            }
+            let heard = mb
+                .iter()
+                .filter_map(|(q, m)| Some((q, m.running(slot)?.clone())));
+            inner_mb
+                .try_refill(heard)
+                .expect("a mailbox yields each sender once");
             let cell = &mut state.cells[idx];
             self.inner.transition(r, p, &mut cell.state, &inner_mb);
             if let Some(v) = self.inner.decision(&cell.state) {
@@ -1049,6 +1070,88 @@ mod tests {
             RsmConfig::default().max_batch as u64,
         );
         assert!(check.is_ok(), "{:?}", check.violation);
+    }
+
+    #[test]
+    fn a_window_that_misses_ours_contributes_only_its_backfill() {
+        // Bundles are positional, so a sender whose window is wholly
+        // behind (`committed + depth ≤ next`) or wholly ahead
+        // (`committed ≥ next + depth`) of the receiver's has no entry at
+        // any offset the receiver asks for: nothing reaches an inner
+        // mailbox, nothing in its window is adopted — and its backfill
+        // run is adopted exactly as if the window were not there.
+        let (n, depth) = (4, 4u64);
+        let mut exec = executor(n, depth as usize);
+        exec.run(&mut FullDelivery, 10).unwrap();
+        let p = ProcessId::new(0);
+        let alg = exec.algorithm().clone();
+        let start = exec.states()[0].clone();
+        let next = start.next_apply();
+        assert!(next >= depth, "the receiver's window has left slot 0");
+        assert_eq!(start.decided_ahead(), 0);
+
+        let window = |committed: u64| -> Vec<SlotPayload<u64>> {
+            (0..depth)
+                .map(|i| match i % 2 {
+                    0 => SlotPayload::Running(committed + i),
+                    _ => SlotPayload::Decided(encode_slot_value(committed + i, 1, 0, 1)),
+                })
+                .collect()
+        };
+        let backfilled = encode_slot_value(next, 2, 0, 1);
+        let bundles = |with_windows: bool| -> Mailbox<RsmMessage<u64>> {
+            [
+                (1, next - depth, vec![]),
+                (2, next + depth, vec![backfilled]),
+            ]
+            .into_iter()
+            .map(|(q, committed, backfill)| {
+                let m = RsmMessage {
+                    committed,
+                    entries: if with_windows {
+                        window(committed)
+                    } else {
+                        vec![]
+                    },
+                    backfill_start: next,
+                    backfill,
+                };
+                for slot in next..next + depth {
+                    assert_eq!(m.running(slot), None, "sender {q}, slot {slot}");
+                }
+                (ProcessId::new(q), m)
+            })
+            .collect()
+        };
+        // The control hears the same two senders with their windows cut
+        // off: every cell must end the round in the same state.
+        let run = |with_windows: bool| {
+            let mut state = start.clone();
+            alg.transition(Round(11), p, &mut state, &bundles(with_windows));
+            state
+        };
+        let (heard, control) = (run(true), run(false));
+        assert_eq!(heard.stats().backfill_received, 1);
+        assert_eq!(heard.stats().backfill_adopted, 1, "the backfill run counts");
+        assert_eq!(heard.next_apply(), next + 1, "only slot `next` was learned");
+        assert_eq!(heard.applied()[next as usize], backfilled);
+        assert_eq!(heard.decided_ahead(), 0, "no window entry was adopted");
+        assert!(heard.inner_mb.is_empty(), "no inner mailbox heard anybody");
+        assert_eq!(heard.applied(), control.applied());
+        for (a, b) in heard.cells.iter().zip(&control.cells) {
+            assert_eq!(format!("{a:?}{:?}", a.state), format!("{b:?}{:?}", b.state));
+        }
+        // A window that does overlap is read at its own offset.
+        let m = RsmMessage {
+            committed: next - 1,
+            entries: window(next - 1),
+            backfill_start: 0,
+            backfill: vec![],
+        };
+        assert_eq!(m.running(next - 1), Some(&(next - 1)));
+        assert_eq!(m.running(next), None, "decided there");
+        assert_eq!(m.running(next + 1), Some(&(next + 1)));
+        assert_eq!(m.running(next + depth - 1), None, "past its window");
     }
 
     #[test]

@@ -17,9 +17,12 @@ use heardof::harness::{
 };
 use heardof::rsm::{shard_seed, FlowControl, LogDriver, RsmConfig, ShardedLogDriver};
 
-use heardof::core::adversary::{Adversary, RandomLoss};
-use heardof::core::algorithms::OneThirdRule;
+use heardof::core::adversary::{Adversary, CrashRecovery, FullDelivery, RandomLoss, Scripted};
+use heardof::core::algorithm::HoAlgorithm;
+use heardof::core::algorithms::{LastVoting, OneThirdRule};
 use heardof::core::contact::{contact_seed, ContactPlan, ContactPlanAdversary};
+use heardof::core::process::ProcessSet;
+use heardof::core::round::Round;
 
 /// The full adversary zoo (every fault environment the model-layer sweep
 /// knows, parameters included).
@@ -552,5 +555,139 @@ fn closed_loop_commands_are_conserved() {
         "generated {} vs applied {}: more than a window's worth in limbo",
         stats.generated_commands,
         stats.applied_commands
+    );
+}
+
+/// One step of the history digest (FNV-1a over the value's eight bytes).
+fn fold(h: u64, x: u64) -> u64 {
+    x.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Folds everything a `MultiSlot` run leaves behind into `h`: every
+/// replica's applied log, its service counters and its latency samples.
+fn fold_history<A: HoAlgorithm<Value = u64>>(mut h: u64, driver: &LogDriver<A>) -> u64 {
+    for s in driver.states() {
+        let st = s.stats();
+        h = fold(h, s.applied().len() as u64);
+        h = s.applied().iter().fold(h, |h, &v| fold(h, v));
+        for c in [
+            st.applied_commands,
+            st.own_applied_commands,
+            st.requeued_commands,
+            st.backfill_received,
+            st.backfill_adopted,
+            st.lease_takeovers,
+            st.latencies.len() as u64,
+        ] {
+            h = fold(h, c);
+        }
+        h = st.latencies.iter().fold(h, |h, &l| fold(h, l));
+    }
+    h
+}
+
+/// The fault environments of the pinned grid, in column order.
+#[derive(Clone, Copy, PartialEq)]
+enum PinnedEnv {
+    FullDelivery,
+    Loss30,
+    RollingCrashRecovery,
+    IsolateThenHeal,
+}
+
+const PINNED_ENVS: [PinnedEnv; 4] = [
+    PinnedEnv::FullDelivery,
+    PinnedEnv::Loss30,
+    PinnedEnv::RollingCrashRecovery,
+    PinnedEnv::IsolateThenHeal,
+];
+
+/// The digest of one (inner algorithm, fault environment) row of the
+/// pinned grid: depth {1, 4, 16} × n {4, 7} × flow control {off, on} ×
+/// 3 seeds, 120 rounds each, folded in that order.
+fn pinned_row<A: HoAlgorithm<Value = u64>>(inner: impl Fn(usize) -> A, env: PinnedEnv) -> u64 {
+    const ROUNDS: u64 = 120;
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for depth in [1, 4, 16] {
+        for n in [4, 7] {
+            for flow in [FlowControl::off(), FlowControl::on()] {
+                for seed in [1, 2, 3] {
+                    let mut cfg = RsmConfig::with_depth(depth);
+                    cfg.flow = flow;
+                    let workload = WorkloadSpec::FixedRate { per_round: 2 };
+                    let mut driver = LogDriver::new(inner(n), workload, cfg, seed);
+                    match env {
+                        PinnedEnv::FullDelivery => driver.run(&mut FullDelivery, ROUNDS),
+                        PinnedEnv::Loss30 => driver.run(&mut RandomLoss::new(0.3, seed), ROUNDS),
+                        PinnedEnv::RollingCrashRecovery => {
+                            // Rolling outages: replica i mod n is down for
+                            // ten rounds out of every twelve-round turn.
+                            let outages: Vec<(usize, Round, Round)> = (0..9)
+                                .map(|i| {
+                                    (i % n, Round(5 + 12 * i as u64), Round(14 + 12 * i as u64))
+                                })
+                                .collect();
+                            driver.run(&mut CrashRecovery::new(n, &outages), ROUNDS)
+                        }
+                        PinnedEnv::IsolateThenHeal => {
+                            // The last replica hears only itself (and nobody
+                            // hears it) for 40 rounds — more than `depth`
+                            // slots at every depth — then the script ends
+                            // and delivery is full: the climb rides backfill.
+                            let quorum = ProcessSet::from_indices(0..n - 1);
+                            let solo = ProcessSet::from_indices([n - 1]);
+                            let mut row = vec![quorum; n];
+                            row[n - 1] = solo;
+                            driver.run(&mut Scripted::new(vec![row; 40]), ROUNDS)
+                        }
+                    }
+                    .unwrap();
+                    let check = driver.check();
+                    assert!(check.is_ok(), "{:?}", check.violation);
+                    if env == PinnedEnv::IsolateThenHeal {
+                        let adopted = driver.states()[n - 1].stats().backfill_adopted;
+                        assert!(adopted > 0, "the isolated replica must climb by backfill");
+                    }
+                    h = fold_history(h, &driver);
+                }
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn multislot_histories_are_pinned() {
+    // Bit-identity of the replicated log, outside the benchmark: the
+    // digests below were generated on the commit *before* bundles became
+    // positional and inner mailboxes were bulk-filled, so any change to a
+    // decision, an applied log, a service counter or a latency sample in
+    // any cell shows here. The lossy, crash-recovery and isolate-then-heal
+    // rows are the ones where senders' `committed` floors differ, i.e.
+    // where one inner mailbox reads its senders' bundles at different
+    // offsets.
+    const PINNED: [[u64; 4]; 2] = [
+        [
+            0x44df_e901_da57_e7cf,
+            0x2e6c_350e_cdf9_2860,
+            0x4759_39fd_c22c_aabf,
+            0x03dc_01a3_1f79_29d9,
+        ],
+        [
+            0x42aa_21c8_c09b_391a,
+            0x283c_3af2_70d4_e9cc,
+            0xbba9_599d_e9ad_d749,
+            0x7851_9739_891e_c64d,
+        ],
+    ];
+    let rows = [
+        PINNED_ENVS.map(|env| pinned_row(OneThirdRule::new, env)),
+        PINNED_ENVS.map(|env| pinned_row(LastVoting::new, env)),
+    ];
+    assert_eq!(
+        rows, PINNED,
+        "rows: OneThirdRule, LastVoting; columns: PINNED_ENVS\n{rows:#018x?}"
     );
 }
