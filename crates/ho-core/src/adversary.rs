@@ -15,11 +15,14 @@
 //! nothing is allocated — the executor reuses one scratch slice for the
 //! whole run. The allocating [`Adversary::ho_sets`] is a derived
 //! convenience for tests and examples.
+//!
+//! Cost per round: the lossy adversaries pay one raw draw, one compare and
+//! one OR per ordered pair plus one store per row; the rest fill or copy.
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::process::{ProcessId, ProcessSet};
+use crate::process::{ProcessId, ProcessSet, MAX_PROCESSES};
 use crate::round::Round;
 
 /// A loss probability as a `2⁻⁶⁴` fixed-point threshold:
@@ -41,8 +44,30 @@ impl LossThreshold {
         })
     }
 
-    fn sample(self, rng: &mut SmallRng) -> bool {
-        rng.next_u64() < self.0
+    /// One round of lossy HO rows. In row `p`, every `q` other than `p`
+    /// and `pivot` (`KernelOnly`'s; `None` for plain loss) draws once, in
+    /// ascending order, and is heard unless its draw falls below the
+    /// threshold; `p` and `pivot` are heard without drawing. The outcome is
+    /// OR-ed into a register as a bit: no branch on a draw no predictor can
+    /// follow, no 128-bit shift per pair.
+    fn fill(self, rng: &mut SmallRng, ho: &mut [ProcessSet], pivot: Option<usize>) {
+        let n = ho.len();
+        assert!(n <= MAX_PROCESSES, "n = {n} exceeds MAX_PROCESSES");
+        // The generator's state stays in registers for the whole round.
+        let mut draws = rng.clone();
+        for (p, slot) in ho.iter_mut().enumerate() {
+            let pivot = pivot.unwrap_or(p);
+            let mut words = [0u64; 2];
+            for (w, word) in words.iter_mut().enumerate() {
+                let base = 64 * w;
+                for q in base..n.min(base + 64) {
+                    let heard = q == p || q == pivot || draws.next_u64() >= self.0;
+                    *word |= u64::from(heard) << (q - base);
+                }
+            }
+            *slot = ProcessSet::from_words(words);
+        }
+        *rng = draws;
     }
 }
 
@@ -142,16 +167,7 @@ impl RandomLoss {
 
 impl Adversary for RandomLoss {
     fn fill_ho_sets(&mut self, _r: Round, ho: &mut [ProcessSet]) {
-        let n = ho.len();
-        for (p, slot) in ho.iter_mut().enumerate() {
-            let mut set = ProcessSet::singleton(ProcessId::new(p));
-            for q in 0..n {
-                if q != p && !self.loss.sample(&mut self.rng) {
-                    set.insert(ProcessId::new(q));
-                }
-            }
-            *slot = set;
-        }
+        self.loss.fill(&mut self.rng, ho, None);
     }
 }
 
@@ -366,19 +382,8 @@ impl KernelOnly {
 
 impl Adversary for KernelOnly {
     fn fill_ho_sets(&mut self, r: Round, ho: &mut [ProcessSet]) {
-        let n = ho.len();
-        let pivot = ProcessId::new(((r.get() - 1) % n as u64) as usize);
-        for (p, slot) in ho.iter_mut().enumerate() {
-            let mut set = ProcessSet::singleton(pivot);
-            set.insert(ProcessId::new(p));
-            for q in 0..n {
-                let q = ProcessId::new(q);
-                if q != pivot && q.index() != p && !self.loss.sample(&mut self.rng) {
-                    set.insert(q);
-                }
-            }
-            *slot = set;
-        }
+        let pivot = ((r.get() - 1) % ho.len() as u64) as usize;
+        self.loss.fill(&mut self.rng, ho, Some(pivot));
     }
 }
 

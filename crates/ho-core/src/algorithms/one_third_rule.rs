@@ -14,6 +14,9 @@
 //! The algorithm never violates integrity or agreement, under *any* HO
 //! assignment; the predicate `P_otr` (Table 1) ensures termination
 //! (Theorem 1). Rounds in which no messages are received are harmless.
+//!
+//! Cost per transition: one count of the mailbox at or below the guard of
+//! line 7; past it, one pairwise `O(|HO|²)` mode fold serves both rules.
 
 use std::marker::PhantomData;
 
@@ -104,24 +107,26 @@ impl<V: Clone + std::fmt::Debug + Ord> HoAlgorithm for OneThirdRule<V> {
     }
 
     fn transition(&self, _r: Round, _p: ProcessId, state: &mut OtrState<V>, mb: &Mailbox<V>) {
-        // One mode computation serves both the update and the decision
-        // rule — this runs once per process per round and dominates the
-        // sweep's hot loop.
-        let Some((mode, count)) = mb.mode_with_count() else {
+        // Line 7 before line 8. Deciding takes more than 2n/3 *identical*
+        // values, hence more than 2n/3 values: at or below the guard
+        // nothing can change — the rounds a partition or heavy loss is
+        // made of.
+        let heard = mb.len();
+        if !self.update_quorum(heard) {
             return;
-        };
-        if self.update_quorum(mb.len()) {
-            // The most frequent value; unique whenever the "almost all" test
-            // passes (two values can't both miss at most ⌊n/3⌋ of > 2n/3
-            // messages).
-            if self.almost_all(count, mb.len()) {
-                state.x = mode.clone();
-            } else {
-                state.x = mb.min_message().expect("non-empty").clone();
-            }
         }
-        // Decide on > 2n/3 *identical* values (line 12); this implies the
-        // |HO| > 2n/3 guard, so checking independently is equivalent.
+        // One mode computation serves both the update and the decision
+        // rule.
+        let (mode, count) = mb.mode_with_count().expect("heard > 2n/3 ≥ 0");
+        // The most frequent value; unique whenever the "almost all" test
+        // passes (two values can't both miss at most ⌊n/3⌋ of > 2n/3
+        // messages).
+        if self.almost_all(count, heard) {
+            state.x = mode.clone();
+        } else {
+            state.x = mb.min_message().expect("non-empty").clone();
+        }
+        // Decide on > 2n/3 identical values (lines 11–12).
         if 3 * count > 2 * self.n && state.decision.is_none() {
             state.decision = Some(mode);
         }
@@ -240,6 +245,42 @@ mod tests {
         .collect();
         alg.transition(Round(2), ProcessId::new(0), &mut st, &mb);
         assert_eq!(st.decision, Some(1));
+    }
+
+    /// A mailbox of `heard` messages, all carrying `value`.
+    fn unanimous(heard: usize, value: u64) -> Mailbox<u64> {
+        (0..heard).map(|q| (ProcessId::new(q), value)).collect()
+    }
+
+    #[test]
+    fn at_the_guard_nothing_changes_and_one_past_it_everything_does() {
+        // 3·|HO| = 2n exactly: the guard of line 7 is strict, so neither
+        // the estimate nor the decision may move — even though every value
+        // heard is the same. One more message updates and decides.
+        for (n, at_guard) in [(3, 2), (6, 4)] {
+            let alg = OneThirdRule::new(n);
+            let mut st = alg.init(ProcessId::new(0), 9u64);
+            let untouched = st.clone();
+            alg.transition(
+                Round(1),
+                ProcessId::new(0),
+                &mut st,
+                &unanimous(at_guard, 1),
+            );
+            assert_eq!(st, untouched, "n = {n}: {at_guard} heard is not > 2n/3");
+            alg.transition(Round(2), ProcessId::new(0), &mut st, &Mailbox::empty());
+            assert_eq!(st, untouched, "n = {n}: an empty round is a no-op");
+            let past = unanimous(at_guard + 1, 1);
+            alg.transition(Round(3), ProcessId::new(0), &mut st, &past);
+            assert_eq!((st.x, st.decision), (1, Some(1)), "n = {n}");
+        }
+        // Past the guard without > 2n/3 identical values: update only.
+        let alg = OneThirdRule::new(6);
+        let mut st = alg.init(ProcessId::new(0), 9u64);
+        let mut mb = unanimous(4, 2);
+        mb.push(ProcessId::new(4), 1);
+        alg.transition(Round(1), ProcessId::new(0), &mut st, &mb);
+        assert_eq!((st.x, st.decision), (2, None), "4 of 5 heard: almost all");
     }
 
     #[test]

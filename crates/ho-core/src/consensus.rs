@@ -9,7 +9,8 @@
 //!
 //! The checker observes decisions as they happen and reports the first
 //! safety violation; termination is checked at the end of a run against a
-//! scope.
+//! scope. An observation that changes nothing costs one comparison, and
+//! "who has decided" is a field kept up to date where decisions are recorded.
 
 use std::fmt;
 
@@ -92,6 +93,8 @@ impl<V: fmt::Debug> std::error::Error for ConsensusViolation<V> {}
 pub struct ConsensusChecker<V> {
     initial: Vec<V>,
     decisions: Vec<Option<(V, Round)>>,
+    /// The support of `decisions`, updated where a decision is recorded.
+    decided: ProcessSet,
 }
 
 impl<V: Clone + PartialEq + fmt::Debug> ConsensusChecker<V> {
@@ -102,6 +105,7 @@ impl<V: Clone + PartialEq + fmt::Debug> ConsensusChecker<V> {
         ConsensusChecker {
             initial,
             decisions: vec![None; n],
+            decided: ProcessSet::empty(),
         }
     }
 
@@ -109,6 +113,13 @@ impl<V: Clone + PartialEq + fmt::Debug> ConsensusChecker<V> {
     #[must_use]
     pub fn n(&self) -> usize {
         self.initial.len()
+    }
+
+    /// The lowest-index decider and its value, if anyone decided.
+    fn first_decider(&self) -> Option<(ProcessId, &V)> {
+        let q = self.decided.min()?;
+        let (v, _) = self.decisions[q.index()].as_ref().expect("in `decided`");
+        Some((q, v))
     }
 
     /// Records the decision state of `p` after round `r`.
@@ -126,22 +137,15 @@ impl<V: Clone + PartialEq + fmt::Debug> ConsensusChecker<V> {
         r: Round,
         decision: Option<&V>,
     ) -> Result<(), ConsensusViolation<V>> {
-        let prior = self.decisions[p.index()].clone();
-        match (prior, decision) {
+        match (&self.decisions[p.index()], decision) {
             (None, None) => Ok(()),
-            (Some((was, _)), None) => Err(ConsensusViolation::Revoked {
+            (Some((was, _)), now) if now == Some(was) => Ok(()),
+            (Some((was, _)), now) => Err(ConsensusViolation::Revoked {
                 process: p,
-                was,
-                now: None,
+                was: was.clone(),
+                now: now.cloned(),
                 round: r,
             }),
-            (Some((was, _)), Some(now)) if was != *now => Err(ConsensusViolation::Revoked {
-                process: p,
-                was,
-                now: Some(now.clone()),
-                round: r,
-            }),
-            (Some(_), Some(_)) => Ok(()),
             (None, Some(v)) => {
                 if !self.initial.contains(v) {
                     return Err(ConsensusViolation::Integrity {
@@ -150,21 +154,15 @@ impl<V: Clone + PartialEq + fmt::Debug> ConsensusChecker<V> {
                         value: v.clone(),
                     });
                 }
-                if let Some((q, (w, _))) = self
-                    .decisions
-                    .iter()
-                    .enumerate()
-                    .find_map(|(q, d)| d.as_ref().map(|d| (q, d.clone())))
-                {
-                    if w != *v {
-                        return Err(ConsensusViolation::Agreement {
-                            first: (ProcessId::new(q), w),
-                            second: (p, v.clone()),
-                            round: r,
-                        });
-                    }
+                if let Some((q, w)) = self.first_decider().filter(|(_, w)| *w != v) {
+                    return Err(ConsensusViolation::Agreement {
+                        first: (q, w.clone()),
+                        second: (p, v.clone()),
+                        round: r,
+                    });
                 }
                 self.decisions[p.index()] = Some((v.clone(), r));
+                self.decided.insert(p);
                 Ok(())
             }
         }
@@ -173,27 +171,20 @@ impl<V: Clone + PartialEq + fmt::Debug> ConsensusChecker<V> {
     /// The set of processes that have decided.
     #[must_use]
     pub fn decided(&self) -> ProcessSet {
-        self.decisions
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_some())
-            .map(|(p, _)| ProcessId::new(p))
-            .collect()
+        self.decided
     }
 
     /// Whether every process in `scope` has decided (the termination
     /// condition, restricted to `scope` as in Theorem 2).
     #[must_use]
     pub fn terminated(&self, scope: ProcessSet) -> bool {
-        scope.is_subset(self.decided())
+        scope.is_subset(self.decided)
     }
 
     /// The common decision value, if at least one process decided.
     #[must_use]
     pub fn decision_value(&self) -> Option<&V> {
-        self.decisions
-            .iter()
-            .find_map(|d| d.as_ref().map(|(v, _)| v))
+        self.first_decider().map(|(_, v)| v)
     }
 
     /// The round at which `p` decided, if it has.
@@ -205,11 +196,10 @@ impl<V: Clone + PartialEq + fmt::Debug> ConsensusChecker<V> {
     /// The latest decision round among processes in `scope`, if all decided.
     #[must_use]
     pub fn last_decision_round(&self, scope: ProcessSet) -> Option<Round> {
-        scope
-            .iter()
-            .map(|p| self.decision_round(p))
-            .collect::<Option<Vec<_>>>()
-            .map(|rs| rs.into_iter().max().unwrap_or(Round(0)))
+        self.terminated(scope).then(|| {
+            let rounds = scope.iter().filter_map(|p| self.decision_round(p));
+            rounds.max().unwrap_or(Round(0))
+        })
     }
 }
 
@@ -283,6 +273,89 @@ mod tests {
         assert_eq!(c.last_decision_round(ProcessSet::full(2)), None);
         c.observe(p(1), Round(6), Some(&1)).unwrap();
         assert_eq!(c.last_decision_round(ProcessSet::full(2)), Some(Round(6)));
+    }
+
+    #[test]
+    fn incremental_state_matches_a_replayed_model() {
+        // Random observation sequences — valid decisions, values nobody
+        // proposed, conflicting values, withdrawals and changes — against
+        // a model that rescans on every call.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for trial in 0..200 {
+            let n = 1 + (next() % 70) as usize;
+            let initial: Vec<u64> = (0..n).map(|_| next() % 3).collect();
+            let mut c = ConsensusChecker::new(initial.clone());
+            let mut model: Vec<Option<(u64, Round)>> = vec![None; n];
+            for step in 1..=300 {
+                let (q, r) = (p((next() % n as u64) as usize), Round(step));
+                // Mostly the value already decided, so runs get long.
+                let now = match next() % 8 {
+                    0 => None,
+                    1 => Some(next() % 4),
+                    _ => model
+                        .iter()
+                        .flatten()
+                        .next()
+                        .map(|d| d.0)
+                        .or(Some(initial[0])),
+                };
+                let first = model
+                    .iter()
+                    .enumerate()
+                    .find_map(|(i, d)| d.map(|(w, _)| (p(i), w)));
+                let expected = match (model[q.index()], now) {
+                    (None, None) => Ok(()),
+                    (Some((was, _)), now) if now == Some(was) => Ok(()),
+                    (Some((was, _)), now) => Err(ConsensusViolation::Revoked {
+                        process: q,
+                        was,
+                        now,
+                        round: r,
+                    }),
+                    (None, Some(v)) if !initial.contains(&v) => {
+                        Err(ConsensusViolation::Integrity {
+                            process: q,
+                            round: r,
+                            value: v,
+                        })
+                    }
+                    (None, Some(v)) => match first.filter(|&(_, w)| w != v) {
+                        Some(first) => Err(ConsensusViolation::Agreement {
+                            first,
+                            second: (q, v),
+                            round: r,
+                        }),
+                        None => {
+                            model[q.index()] = Some((v, r));
+                            Ok(())
+                        }
+                    },
+                };
+                assert_eq!(c.observe(q, r, now.as_ref()), expected, "trial {trial}");
+                let support: ProcessSet = (0..n).filter(|&i| model[i].is_some()).map(p).collect();
+                assert_eq!(c.decided(), support, "trial {trial} step {step}");
+                assert_eq!(
+                    c.decision_value(),
+                    model.iter().flatten().next().map(|d| &d.0)
+                );
+                let scope: ProcessSet = (0..n).filter(|_| next() & 3 == 0).map(p).collect();
+                assert_eq!(c.terminated(scope), scope.is_subset(support));
+                let rounds: Option<Vec<Round>> = scope
+                    .iter()
+                    .map(|i| model[i.index()].map(|d| d.1))
+                    .collect();
+                assert_eq!(
+                    c.last_decision_round(scope),
+                    rounds.map(|rs| rs.into_iter().max().unwrap_or(Round(0)))
+                );
+            }
+        }
     }
 
     #[test]

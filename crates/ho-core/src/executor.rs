@@ -18,7 +18,9 @@
 //! scratch slice, and the trace row is copied out of a reused buffer — or,
 //! under [`TraceMode::Off`], never materialised at all. In steady state a
 //! broadcast round performs **zero** heap allocations
-//! (see `tests/alloc_steady_state.rs`).
+//! (see `tests/alloc_steady_state.rs`). Beyond the adversary's and the
+//! algorithm's own work a round costs, per process, one plan, one table
+//! attach, one count of the mailbox and one checker observation.
 
 use crate::adversary::Adversary;
 use crate::algorithm::HoAlgorithm;
@@ -371,14 +373,15 @@ impl<A: HoAlgorithm> RoundExecutor<A> {
             self.msg_stats.payload_allocs += delivery.clones;
             self.msg_stats.payload_reuses += delivery.recycled;
         }
-        self.msg_stats.delivered += self.mailboxes.iter().map(|mb| mb.len() as u64).sum::<u64>();
         if timed {
             span = self.telemetry.span(Phase::Deliver, span);
         }
 
         // Record the effective HO sets — but compute the support sets only
         // when the trace's retention mode stores rows or an observer is
-        // listening; otherwise the statistics need just the mailbox sizes.
+        // listening; otherwise the statistics need just the mailbox sizes,
+        // each counted once for the trace and the message statistics both
+        // (a count is a software popcount on the default x86-64 target).
         if self.trace.wants_rows() || observer.active() {
             self.scratch.row.clear();
             self.scratch
@@ -389,9 +392,13 @@ impl<A: HoAlgorithm> RoundExecutor<A> {
             if observer.active() {
                 observer.observe_round(r, &self.scratch.row);
             }
+            self.msg_stats.delivered +=
+                self.mailboxes.iter().map(|mb| mb.len() as u64).sum::<u64>();
         } else {
+            let delivered = &mut self.msg_stats.delivered;
+            let heard = self.mailboxes.iter().map(Mailbox::len);
             self.trace
-                .note_round(self.mailboxes.iter().map(Mailbox::len));
+                .note_round(heard.inspect(|&h| *delivered += h as u64));
         }
         if timed {
             span = self.telemetry.span(Phase::Monitor, span);

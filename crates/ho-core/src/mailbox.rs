@@ -465,9 +465,14 @@ impl<M> Mailbox<M> {
         explicit.union(self.from_table)
     }
 
-    /// Number of messages received, `|HO(p, r)|`.
+    /// Number of messages received, `|HO(p, r)|`. An entries-only mailbox
+    /// (unicast rounds, a relay's inner mailboxes) skips the bitset count,
+    /// which without a hardware `POPCNT` is two rounds of bit tricks.
     #[must_use]
     pub fn len(&self) -> usize {
+        if self.from_table.is_empty() {
+            return self.entries.len();
+        }
         self.entries.len() + self.from_table.len()
     }
 
@@ -989,6 +994,35 @@ mod tests {
             let after: Vec<(ProcessId, u64)> = mb.iter().map(|(q, m)| (q, *m)).collect();
             assert_eq!(after, before, "trial {trial}: a rejected push left a trace");
             assert_eq!(mb.len(), before.len());
+        }
+    }
+
+    #[test]
+    fn len_counts_entries_table_senders_and_both() {
+        // `len` takes a shortcut when nothing came through the round
+        // table; all three shapes must still agree with iteration.
+        let n = 100;
+        let table: Arc<Vec<SendPlan<u64>>> =
+            Arc::new((0..n).map(|q| SendPlan::broadcast(q as u64)).collect());
+        let mut next = xorshift(0xD1B5_4A32_D192_ED03);
+        for trial in 0..100 {
+            let via_table: ProcessSet = (0..n).filter(|_| next() & 3 == 0).map(p).collect();
+            let explicit: Vec<ProcessId> = (0..n)
+                .map(p)
+                .filter(|&q| !via_table.contains(q) && next() & 3 == 0)
+                .collect();
+            for (with_table, with_entries) in [(false, true), (true, false), (true, true)] {
+                let mut mb = Mailbox::empty();
+                if with_table {
+                    mb.deliver_table(Arc::clone(&table), via_table);
+                }
+                for &q in explicit.iter().filter(|_| with_entries) {
+                    mb.push(q, 7);
+                }
+                assert_eq!(mb.len(), mb.iter().count(), "trial {trial}");
+                assert_eq!(mb.len(), mb.senders().len(), "trial {trial}");
+                assert_eq!(mb.is_empty(), mb.iter().next().is_none(), "trial {trial}");
+            }
         }
     }
 

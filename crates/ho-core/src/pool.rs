@@ -99,6 +99,13 @@ impl<M> PooledPayload<M> {
     /// The uniqueness check is exactly the proof that no recipient still
     /// holds the old generation.
     pub fn try_rewrite(&mut self, write: impl FnOnce(&mut M)) -> bool {
+        self.rewrite_or_return(write).is_ok()
+    }
+
+    /// [`PooledPayload::try_rewrite`] that hands `write` back unspent when
+    /// the slot is shared: one uniqueness probe (a locked compare-exchange)
+    /// for a caller with a fallback, not one to ask and one to write.
+    pub(crate) fn rewrite_or_return<W: FnOnce(&mut M)>(&mut self, write: W) -> Result<(), W> {
         match Arc::get_mut(&mut self.slot) {
             Some(slot) => {
                 debug_assert_eq!(
@@ -108,9 +115,9 @@ impl<M> PooledPayload<M> {
                 slot.generation += 1;
                 write(&mut slot.value);
                 self.generation = slot.generation;
-                true
+                Ok(())
             }
-            None => false,
+            None => Err(write),
         }
     }
 }

@@ -103,6 +103,15 @@ impl ProcessSet {
         }
     }
 
+    /// The set with members `0..64` from the bits of `words[0]` and
+    /// `64..128` from `words[1]`, for callers that assemble a row in registers.
+    #[must_use]
+    pub(crate) fn from_words(words: [u64; 2]) -> Self {
+        ProcessSet {
+            bits: u128::from(words[0]) | u128::from(words[1]) << 64,
+        }
+    }
+
     /// Builds a set from an iterator of process ids.
     // Shadows the `FromIterator` impl below on purpose: call sites read
     // `ProcessSet::from_iter(..)` without needing the trait in scope.

@@ -297,12 +297,15 @@ impl<'a, M> PlanSlot<'a, M> {
     /// round is available (e.g. `Clone::clone_into`, which also reuses the
     /// payload's own heap), `make` builds the payload otherwise. Returns
     /// the number of payload buffers reused in place (0 or 1).
-    pub fn broadcast_with(&mut self, make: impl FnOnce() -> M, reuse: impl FnOnce(&mut M)) -> u64 {
+    pub fn broadcast_with(
+        &mut self,
+        make: impl FnOnce() -> M,
+        mut reuse: impl FnOnce(&mut M),
+    ) -> u64 {
         if let SendPlan::Broadcast(handle) = &mut *self.plan {
-            if handle.is_unique() {
-                let rewritten = handle.try_rewrite(reuse);
-                debug_assert!(rewritten, "uniqueness probed above");
-                return 1;
+            match handle.rewrite_or_return(reuse) {
+                Ok(()) => return 1,
+                Err(unspent) => reuse = unspent,
             }
         }
         if let Some(handle) = self.pool.take_rewrite(reuse) {
