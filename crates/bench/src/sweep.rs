@@ -30,7 +30,6 @@ use ho_harness::{
     SweepReport, TelemetrySummary, WorkloadSpec,
 };
 use ho_predicates::monitor::WindowMonitor;
-use ho_sim::SchedulerKind;
 
 /// The canonical *safe* baseline grid: every cell must finish with zero
 /// violations.
@@ -585,53 +584,6 @@ pub fn run_contact_plan(smoke: bool) -> Json {
     ])
 }
 
-/// Pairs the wheel grid's verdicts with the heap oracle's run of the same
-/// grid and counts divergences — the CI gate behind the scheduler swap.
-///
-/// The two backends must dispatch the identical `(time, seq)` event
-/// sequence, so *every* observable of every scenario must match: the
-/// delivered-predicate outcome, the empirical window length, round and
-/// message counters, and even the queue diagnostics. A single divergence
-/// means the calendar wheel reordered an event the heap would not have.
-#[must_use]
-pub fn sim_scheduler_equivalence(
-    wheel: &ho_harness::SimReport,
-    heap: &ho_harness::SimReport,
-) -> Json {
-    let mut divergences = 0u64;
-    let mut first: Option<String> = None;
-    if wheel.verdicts.len() != heap.verdicts.len() {
-        divergences += 1;
-        first = Some("grid shapes differ".into());
-    }
-    for (w, h) in wheel.verdicts.iter().zip(&heap.verdicts) {
-        let same = w.id() == h.id()
-            && w.achieved == h.achieved
-            && w.within_bound == h.within_bound
-            && w.empirical_length == h.empirical_length
-            && w.max_round == h.max_round
-            && w.send_steps == h.send_steps
-            && w.transmissions == h.transmissions
-            && w.dropped == h.dropped
-            && w.crashes == h.crashes
-            && w.messages.delivered == h.messages.delivered
-            && w.events_dispatched == h.events_dispatched
-            && w.peak_queue_depth == h.peak_queue_depth;
-        if !same {
-            divergences += 1;
-            if first.is_none() {
-                first = Some(w.id());
-            }
-        }
-    }
-    Json::obj([
-        ("oracle", Json::Str("heap".into())),
-        ("scenarios", Json::UInt(wheel.verdicts.len() as u64)),
-        ("divergences", Json::UInt(divergences)),
-        ("first_divergence", first.map_or(Json::Null, Json::Str)),
-    ])
-}
-
 /// Every model-layer grid a `--scenario <id>` repro can come from,
 /// in document order: the safe baseline, the `P_nek` counterexamples,
 /// and the contact-plan cells.
@@ -944,10 +896,7 @@ pub fn run_baseline(smoke: bool) -> Json {
     });
 
     // The sim layer: the implementation stack under systematic link
-    // faults, verdicts checking the delivered predicate. The grid runs
-    // twice — once on the calendar wheel (the measured configuration) and
-    // once on the binary-heap oracle — and the paired verdicts feed the
-    // scheduler-equivalence gate: any divergence fails the smoke job.
+    // faults, verdicts checking the delivered predicate.
     let sim_sweep = if smoke {
         sim_layer_sweep().seeds(0..3)
     } else {
@@ -955,11 +904,9 @@ pub fn run_baseline(smoke: bool) -> Json {
     };
     // Untimed warm-up: the whole grid is milliseconds of wall, so first-
     // touch costs (page faults, lazy allocator arenas) would dominate a
-    // cold timing. Both measured passes then start from the same state.
-    let _ = sim_sweep.clone().run();
-    let sim_layer = sim_sweep.clone().scheduler(SchedulerKind::Wheel).run();
-    let sim_heap = sim_sweep.scheduler(SchedulerKind::Heap).run();
-    let scheduler_equivalence = sim_scheduler_equivalence(&sim_layer, &sim_heap);
+    // cold timing.
+    let _ = sim_sweep.run();
+    let sim_layer = sim_sweep.run();
 
     // The rsm layer: the replicated-log service over the same fault zoo,
     // verdicts checking prefix agreement and exactly-once apply.
@@ -983,7 +930,6 @@ pub fn run_baseline(smoke: bool) -> Json {
     let allocs: u64 = reports.iter().map(|r| r.totals.payload_allocs).sum();
     let reuses: u64 = reports.iter().map(|r| r.totals.payload_reuses).sum();
     let fresh: u64 = reports.iter().map(|r| r.totals.fresh_allocs()).sum();
-    let legacy: u64 = reports.iter().map(|r| r.totals.legacy_clones).sum();
     let delivered: u64 = reports.iter().map(|r| r.totals.delivered).sum();
 
     let cells: Vec<Json> = reports
@@ -1039,15 +985,14 @@ pub fn run_baseline(smoke: bool) -> Json {
                 ("payload_allocs", Json::UInt(allocs)),
                 ("payload_reuses", Json::UInt(reuses)),
                 ("fresh_allocs", Json::UInt(fresh)),
-                ("legacy_clones", Json::UInt(legacy)),
                 ("delivered", Json::UInt(delivered)),
                 ("allocs_per_round_after", Json::Float(ratio(allocs, rounds))),
                 ("fresh_allocs_per_round", Json::Float(ratio(fresh, rounds))),
                 (
                     "clones_per_round_before",
-                    Json::Float(ratio(legacy, rounds)),
+                    Json::Float(ratio(delivered, rounds)),
                 ),
-                ("reduction_factor", Json::Float(ratio(legacy, allocs))),
+                ("reduction_factor", Json::Float(ratio(delivered, allocs))),
             ]),
         ),
         (
@@ -1114,39 +1059,7 @@ pub fn run_baseline(smoke: bool) -> Json {
             }
             Json::Obj(map)
         }),
-        ("sim_layer", {
-            let Json::Obj(mut m) = sim_report_json(&sim_layer, false) else {
-                unreachable!("sim reports serialize to an object");
-            };
-            m.insert("scheduler_equivalence".into(), scheduler_equivalence);
-            // The same grid on the heap oracle — the in-file before/after
-            // table for the calendar-wheel scheduler, next to the
-            // committed pre-wheel figure.
-            m.insert(
-                "heap_baseline".into(),
-                Json::obj([
-                    ("scheduler", Json::Str("heap".into())),
-                    ("wall_seconds", Json::Float(sim_heap.wall_seconds)),
-                    ("scenarios_per_sec", Json::Float(sim_heap.scenarios_per_sec)),
-                    ("events_per_sec", Json::Float(sim_heap.events_per_sec)),
-                    (
-                        "speedup_wheel_vs_heap",
-                        Json::Float(sim_layer.scenarios_per_sec / sim_heap.scenarios_per_sec),
-                    ),
-                ]),
-            );
-            m.insert(
-                "baseline_prev".into(),
-                Json::obj([
-                    ("scenarios_per_sec", Json::Float(SIM_PREV_SCENARIOS_PER_SEC)),
-                    (
-                        "speedup_vs_committed",
-                        Json::Float(sim_layer.scenarios_per_sec / SIM_PREV_SCENARIOS_PER_SEC),
-                    ),
-                ]),
-            );
-            Json::Obj(m)
-        }),
+        ("sim_layer", sim_report_json(&sim_layer, false)),
         ("rsm_layer", rsm_report_json(&rsm_layer, false)),
         ("sharded_rsm", sharded_rsm_json(&sharded_rsm)),
         ("contact_plan", contact_plan),
@@ -1185,11 +1098,6 @@ const PREV_SCENARIOS_PER_SEC: f64 = 21_600.37;
 /// Payload allocations per round in that baseline — every construction hit
 /// the allocator (no scratch-buffer reuse existed).
 const PREV_ALLOCS_PER_ROUND: f64 = 5.19;
-
-/// Sim-layer throughput of the previous committed `BENCH_sweep.json`
-/// (binary-heap event queue, per-recipient `MakeReady` fan-out, no
-/// cross-scenario scratch reuse).
-const SIM_PREV_SCENARIOS_PER_SEC: f64 = 16_030.035;
 
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
@@ -1322,35 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_layer_heap_oracle_reports_zero_divergences() {
-        // The scheduler-equivalence gate on a thinned grid: the calendar
-        // wheel and the heap oracle must agree on every verdict field.
-        let sweep = sim_layer_sweep().seeds(0..2);
-        let wheel = sweep.clone().scheduler(SchedulerKind::Wheel).run();
-        let heap = sweep.scheduler(SchedulerKind::Heap).run();
-        let Json::Obj(eq) = sim_scheduler_equivalence(&wheel, &heap) else {
-            panic!("equivalence serializes to an object");
-        };
-        assert_eq!(
-            eq.get("divergences"),
-            Some(&Json::UInt(0)),
-            "first divergence: {:?}",
-            eq.get("first_divergence")
-        );
-        assert_eq!(
-            eq.get("scenarios"),
-            Some(&Json::UInt(wheel.scenarios as u64))
-        );
-        // The gate is not vacuous: a forged divergence is counted.
-        let mut forged = heap.clone();
-        forged.verdicts[0].max_round += 1;
-        let Json::Obj(eq) = sim_scheduler_equivalence(&wheel, &forged) else {
-            panic!("equivalence serializes to an object");
-        };
-        assert_eq!(eq.get("divergences"), Some(&Json::UInt(1)));
-    }
-
-    #[test]
     fn smoke_document_parses_and_is_safe() {
         let doc = run_baseline(true);
         let text = format!("{doc}\n");
@@ -1372,9 +1251,7 @@ mod tests {
             "sim scenarios recorded"
         );
         assert!(sim.contains_key("chunk"), "chunk policy recorded");
-        // The scheduler fields round-trip: which backend the measured grid
-        // ran on, its event throughput, and the heap oracle's agreement.
-        assert_eq!(sim.get("scheduler"), Some(&Json::Str("wheel".into())));
+        // The queue diagnostics round-trip: event throughput and count.
         assert!(
             matches!(sim.get("events_per_sec"), Some(Json::Float(e)) if *e > 0.0),
             "event throughput recorded"
@@ -1383,22 +1260,6 @@ mod tests {
             matches!(sim.get("events_dispatched"), Some(Json::UInt(n)) if *n > 0),
             "events dispatched recorded"
         );
-        let Some(Json::Obj(eq)) = sim.get("scheduler_equivalence") else {
-            panic!("scheduler_equivalence gate missing");
-        };
-        assert_eq!(
-            eq.get("divergences"),
-            Some(&Json::UInt(0)),
-            "wheel diverged from the heap oracle: {:?}",
-            eq.get("first_divergence")
-        );
-        let Some(Json::Obj(hb)) = sim.get("heap_baseline") else {
-            panic!("heap before/after subsection missing");
-        };
-        assert!(matches!(
-            hb.get("speedup_wheel_vs_heap"),
-            Some(Json::Float(_))
-        ));
         // The rsm-layer section round-trips with its service aggregates
         // and per-cell throughput table, and reports zero log violations.
         let Some(Json::Obj(rsm)) = map.get("rsm_layer") else {

@@ -33,18 +33,16 @@ use crate::send_plan::Outbox;
 use crate::telemetry::{Event, EventKind, Phase, Telemetry};
 use crate::trace::{Trace, TraceMode};
 
-/// Message-cost accounting for a run: what the send phase actually
-/// allocated, against what the pre-plan per-destination scheme would have
-/// cloned.
+/// Message-cost accounting for a run: what the send phase allocated and
+/// how many messages it delivered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MessageStats {
     /// Payload constructions performed under the plan kernel: plan
     /// construction (one per broadcast, one per unicast pair) plus the
     /// per-recipient deep clones of delivered unicast messages. Broadcast
-    /// deliveries share the constructed payload, which is what makes
-    /// broadcast rounds `O(n)` here versus `O(n²)` under the legacy
-    /// scheme; unicast rounds gain nothing from sharing and cost about
-    /// the same in both schemes.
+    /// deliveries share the constructed payload, which makes a broadcast
+    /// round cost `O(n)` constructions for its `O(n²)` deliveries; unicast
+    /// rounds gain nothing from sharing.
     pub payload_allocs: u64,
     /// How many of those constructions were written into recycled payload
     /// buffers and therefore touched the allocator *zero* times
@@ -68,14 +66,6 @@ pub struct RoundScratch {
 }
 
 impl MessageStats {
-    /// What the legacy per-destination `message()` scheme would have deep-
-    /// cloned: one payload per delivered message — `O(n²)` per broadcast
-    /// round.
-    #[must_use]
-    pub fn legacy_clones(&self) -> u64 {
-        self.delivered
-    }
-
     /// Payload constructions that actually hit the allocator:
     /// `payload_allocs − payload_reuses`.
     #[must_use]
@@ -680,10 +670,8 @@ mod tests {
         let stats = exec.message_stats();
         // One payload per broadcaster per round — O(n), not O(n²).
         assert_eq!(stats.payload_allocs, 4 * 10);
-        // All n² transmissions are still delivered…
+        // All n² transmissions are still delivered.
         assert_eq!(stats.delivered, 16 * 10);
-        // …which is exactly what the per-destination scheme would clone.
-        assert_eq!(stats.legacy_clones(), 160);
     }
 
     #[test]

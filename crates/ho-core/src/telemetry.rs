@@ -558,9 +558,9 @@ impl Telemetry {
 }
 
 /// The `Copy` digest of one run's telemetry: event totals by kind plus
-/// the per-phase time breakdown. This is a *diagnostic* — like
-/// `SimStats`' queue-mechanics fields it must never participate in
-/// equivalence comparisons (span ticks are wall-clock noise).
+/// the per-phase time breakdown. This is a *diagnostic*: it must never
+/// participate in equivalence comparisons (span ticks are wall-clock
+/// noise).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TelemetrySummary {
     /// Total events recorded (including overwritten ones).

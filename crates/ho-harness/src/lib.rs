@@ -6,10 +6,9 @@
 //! accounting — into an aggregated, JSON-serializable [`SweepReport`].
 //!
 //! The sweep rides on the [`SendPlan`](ho_core::SendPlan) kernel: every
-//! scenario's message costs are recorded both as the kernel's payload
-//! allocations (`O(n)` per broadcast round) and as the clone count the old
-//! per-destination scheme would have paid (`O(n²)`), so
-//! `BENCH_sweep.json` tracks the refactor's effect release over release.
+//! scenario records the kernel's payload allocations (`O(n)` per
+//! broadcast round) next to its deliveries (`O(n²)`), so
+//! `BENCH_sweep.json` tracks both release over release.
 //!
 //! ```
 //! use ho_harness::{AdversarySpec, AlgorithmSpec, Sweep};

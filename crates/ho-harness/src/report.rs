@@ -90,8 +90,6 @@ pub struct MessageTotals {
     pub payload_reuses: u64,
     /// Messages delivered into mailboxes.
     pub delivered: u64,
-    /// What the per-destination scheme would have deep-cloned.
-    pub legacy_clones: u64,
     /// Rounds executed across all scenarios.
     pub rounds: u64,
 }
@@ -104,9 +102,7 @@ impl MessageTotals {
     }
 
     /// Folds one run's [`MessageStats`](ho_core::MessageStats) — from
-    /// either execution layer — into the totals. (The legacy-clone
-    /// counterfactual only exists on the model layer, where `delivered`
-    /// doubles as that count; sim-layer callers leave it untouched.)
+    /// either execution layer — into the totals.
     pub fn absorb_stats(&mut self, stats: &ho_core::MessageStats) {
         self.payload_allocs += stats.payload_allocs;
         self.payload_reuses += stats.payload_reuses;
@@ -205,7 +201,6 @@ impl SweepReport {
             payload_allocs: verdicts.iter().map(|v| v.payload_allocs).sum(),
             payload_reuses: verdicts.iter().map(|v| v.payload_reuses).sum(),
             delivered: verdicts.iter().map(|v| v.delivered_messages).sum(),
-            legacy_clones: verdicts.iter().map(|v| v.legacy_clones).sum(),
             rounds: verdicts.iter().map(|v| v.rounds_run).sum(),
         };
         let mut predicate_totals = PredicateTotals::default();
@@ -306,7 +301,6 @@ impl SweepReport {
                     ("payload_reuses", Json::UInt(self.totals.payload_reuses)),
                     ("fresh_allocs", Json::UInt(self.totals.fresh_allocs())),
                     ("delivered", Json::UInt(self.totals.delivered)),
-                    ("legacy_clones", Json::UInt(self.totals.legacy_clones)),
                     ("rounds", Json::UInt(self.totals.rounds)),
                 ]),
             ),
@@ -436,12 +430,7 @@ pub fn forensic_artifact_json(
 /// embedded or only the aggregates.
 #[must_use]
 pub fn sim_report_json(report: &crate::sim::SimReport, include_verdicts: bool) -> Json {
-    let scheduler = report
-        .verdicts
-        .first()
-        .map_or(ho_sim::SchedulerKind::default(), |v| v.scheduler);
     let mut fields = vec![
-        ("scheduler", Json::Str(scheduler.name().to_owned())),
         ("scenarios", Json::UInt(report.scenarios as u64)),
         ("achieved", Json::UInt(report.achieved as u64)),
         ("violations", Json::UInt(report.violations as u64)),
@@ -488,7 +477,6 @@ pub fn sim_report_json(report: &crate::sim::SimReport, include_verdicts: bool) -
 pub fn sim_verdict_json(v: &crate::sim::SimVerdict) -> Json {
     let mut fields = JsonFields::new()
         .str("id", v.id())
-        .str("scheduler", v.scheduler.name())
         .bool("achieved", v.achieved)
         .bool("within_bound", v.within_bound)
         .field(
@@ -530,8 +518,7 @@ pub fn verdict_json(v: &Verdict) -> Json {
         .uint("rounds", v.rounds_run)
         .uint("payload_allocs", v.payload_allocs)
         .uint("payload_reuses", v.payload_reuses)
-        .uint("delivered", v.delivered_messages)
-        .uint("legacy_clones", v.legacy_clones);
+        .uint("delivered", v.delivered_messages);
     if let Some(p) = &v.predicates {
         fields = fields.field("predicates", predicate_summary_json(p));
     }

@@ -331,7 +331,6 @@ impl Scenario {
             payload_allocs: stats.payload_allocs,
             payload_reuses: stats.payload_reuses,
             delivered_messages: stats.delivered,
-            legacy_clones: stats.legacy_clones(),
             predicates,
             telemetry,
             forensic_events,
@@ -389,9 +388,6 @@ pub struct Verdict {
     pub payload_reuses: u64,
     /// Messages delivered into mailboxes.
     pub delivered_messages: u64,
-    /// What the per-destination scheme would have deep-cloned (O(n²) per
-    /// broadcast round).
-    pub legacy_clones: u64,
     /// Streamed predicate statistics (`Some` iff
     /// [`Scenario::monitor_predicates`] was set): which communication
     /// predicates held, when, and for how long.
@@ -542,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn verdict_counts_plan_allocs_below_legacy_clones() {
+    fn verdict_counts_plan_allocs_below_deliveries() {
         let v = scenario(
             AlgorithmSpec::OneThirdRule,
             AdversarySpec::EventuallyGood {
@@ -552,8 +548,8 @@ mod tests {
         )
         .run();
         // Broadcast algorithm at n = 4: the plan kernel allocates n per
-        // round, the legacy scheme would clone up to n² per round.
-        assert!(v.payload_allocs < v.legacy_clones);
+        // round for up to n² deliveries per round.
+        assert!(v.payload_allocs < v.delivered_messages);
         assert_eq!(v.payload_allocs, 4 * v.rounds_run);
     }
 

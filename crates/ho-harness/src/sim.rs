@@ -24,7 +24,7 @@ use ho_predicates::measure::{
     run_alg2_scenario_with, run_alg3_scenario_with, Scenario as GoodPeriodStart, SimLayerScratch,
 };
 use ho_predicates::SimMeasurement;
-use ho_sim::{BadPeriodConfig, SchedulerKind};
+use ho_sim::BadPeriodConfig;
 
 use crate::par::{default_threads, par_map_with_policy, ChunkPolicy};
 use crate::report::MessageTotals;
@@ -183,9 +183,6 @@ pub struct SimScenario {
     pub seed: u64,
     /// The predicate-window length `x` the run must deliver.
     pub window: u64,
-    /// Event-scheduler backend the simulator runs on. Dispatch order is
-    /// identical under both; the heap survives as the equivalence oracle.
-    pub scheduler: SchedulerKind,
     /// Runs the scenario with the flight recorder + metrics registry
     /// active. Recording only observes — the verdict is bit-identical to
     /// an unrecorded run (`tests/telemetry_equivalence.rs` pins this).
@@ -251,18 +248,11 @@ impl SimScenario {
                 self.window,
                 good_start,
                 self.seed,
-                self.scheduler,
                 scratch,
             ),
-            ImplementationSpec::Alg3 { f } => run_alg3_scenario_with(
-                params,
-                f,
-                self.window,
-                good_start,
-                self.seed,
-                self.scheduler,
-                scratch,
-            ),
+            ImplementationSpec::Alg3 { f } => {
+                run_alg3_scenario_with(params, f, self.window, good_start, self.seed, scratch)
+            }
         };
         let m = &outcome.measurement;
         let achieved = m.achieved_at.is_some();
@@ -300,7 +290,6 @@ impl SimScenario {
             n: self.n,
             seed: self.seed,
             window: self.window,
-            scheduler: self.scheduler,
             achieved,
             within_bound,
             empirical_length: m.empirical_length(),
@@ -340,8 +329,6 @@ pub struct SimVerdict {
     pub seed: u64,
     /// The required predicate-window length.
     pub window: u64,
-    /// Event-scheduler backend the run used.
-    pub scheduler: SchedulerKind,
     /// Whether the predicate window was delivered at all.
     pub achieved: bool,
     /// Whether it was delivered within the theorem bound (+ slack).
@@ -369,7 +356,7 @@ pub struct SimVerdict {
     /// Events dispatched from the simulator's queue — the engine's unit
     /// of work.
     pub events_dispatched: u64,
-    /// High-water mark of pending events in the scheduler.
+    /// High-water mark of pending events in the simulator's queue.
     pub peak_queue_depth: u64,
     /// Dispatch throughput (`events_dispatched` over the scenario's wall
     /// clock).
@@ -411,7 +398,6 @@ pub struct SimSweep {
     sizes: Vec<usize>,
     seeds: Vec<u64>,
     window: u64,
-    scheduler: SchedulerKind,
     telemetry: bool,
     threads: Option<usize>,
     chunking: ChunkPolicy,
@@ -425,7 +411,6 @@ impl Default for SimSweep {
             sizes: vec![4],
             seeds: (0..5).collect(),
             window: 2,
-            scheduler: SchedulerKind::default(),
             telemetry: false,
             threads: None,
             chunking: ChunkPolicy::from_env(),
@@ -482,16 +467,6 @@ impl SimSweep {
         self
     }
 
-    /// Sets the event-scheduler backend every scenario runs on (default:
-    /// the calendar wheel). Running the same grid under
-    /// [`SchedulerKind::Heap`] must produce identical verdicts — the
-    /// sweep's divergence check and the lockstep suite enforce that.
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Runs every scenario with the flight recorder + metrics registry
     /// active (see [`Sweep::telemetry`](crate::Sweep::telemetry)).
     #[must_use]
@@ -536,7 +511,6 @@ impl SimSweep {
                             n,
                             seed,
                             window: self.window,
-                            scheduler: self.scheduler,
                             telemetry: self.telemetry,
                         });
                     }
@@ -784,38 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_wheel_grids_agree_verdict_for_verdict() {
-        let sweep = SimSweep::new()
-            .implementations([ImplementationSpec::Alg2, ImplementationSpec::Alg3 { f: 1 }])
-            .faults([
-                LinkFaultSpec::GoodFromStart,
-                LinkFaultSpec::CrashyThenGood { bad_len: 40.0 },
-            ])
-            .sizes([4])
-            .seeds(0..2);
-        let wheel = sweep.clone().scheduler(SchedulerKind::Wheel).run();
-        let heap = sweep.scheduler(SchedulerKind::Heap).run();
-        let key = |r: &SimReport| {
-            r.verdicts
-                .iter()
-                .map(|v| {
-                    (
-                        v.id(),
-                        v.empirical_length,
-                        v.max_round,
-                        v.transmissions,
-                        v.dropped,
-                        v.crashes,
-                        v.events_dispatched,
-                        v.peak_queue_depth,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&wheel), key(&heap), "schedulers are bit-identical");
-    }
-
-    #[test]
     fn verdicts_carry_unified_accounting() {
         let v = SimScenario {
             implementation: ImplementationSpec::Alg2,
@@ -823,7 +765,6 @@ mod tests {
             n: 4,
             seed: 1,
             window: 2,
-            scheduler: SchedulerKind::default(),
             telemetry: false,
         }
         .run();

@@ -17,8 +17,8 @@ use ho_core::process::{ProcessId, ProcessSet};
 use ho_core::telemetry::{Event, EventKind, Telemetry, TelemetrySummary};
 use ho_core::translation::Translated;
 use ho_sim::{
-    BadPeriodConfig, GoodKind, LinkSchedule, Schedule, SchedulerKind, SimConfig, SimScratch,
-    SimStats, Simulator, TimePoint,
+    BadPeriodConfig, GoodKind, LinkSchedule, Schedule, SimConfig, SimScratch, SimStats, Simulator,
+    TimePoint,
 };
 
 use crate::alg2::Alg2Program;
@@ -238,19 +238,11 @@ pub fn run_alg2_scenario(
     scenario: Scenario,
     seed: u64,
 ) -> SimMeasurement {
-    run_alg2_scenario_with(
-        params,
-        pi0,
-        x,
-        scenario,
-        seed,
-        SchedulerKind::default(),
-        &mut SimLayerScratch::new(),
-    )
+    run_alg2_scenario_with(params, pi0, x, scenario, seed, &mut SimLayerScratch::new())
 }
 
-/// [`run_alg2_scenario`] under an explicit scheduler backend, reusing
-/// `scratch`'s simulator storage — the sim-layer sweep's entry point.
+/// [`run_alg2_scenario`] reusing `scratch`'s simulator storage — the
+/// sim-layer sweep's entry point.
 #[must_use]
 pub fn run_alg2_scenario_with(
     params: BoundParams,
@@ -258,13 +250,10 @@ pub fn run_alg2_scenario_with(
     x: u64,
     scenario: Scenario,
     seed: u64,
-    scheduler: SchedulerKind,
     scratch: &mut SimLayerScratch,
 ) -> SimMeasurement {
     let n = params.n;
-    let cfg = SimConfig::normalized(n, params.phi, params.delta)
-        .with_seed(seed)
-        .with_scheduler(scheduler);
+    let cfg = SimConfig::normalized(n, params.phi, params.delta).with_seed(seed);
     let schedule = scenario.schedule(n, pi0, GoodKind::PiDown);
     let programs: Vec<Alg2Program<OneThirdRule>> = (0..n)
         .map(|p| {
@@ -360,19 +349,11 @@ pub fn run_alg3_scenario(
     scenario: Scenario,
     seed: u64,
 ) -> SimMeasurement {
-    run_alg3_scenario_with(
-        params,
-        f,
-        x,
-        scenario,
-        seed,
-        SchedulerKind::default(),
-        &mut SimLayerScratch::new(),
-    )
+    run_alg3_scenario_with(params, f, x, scenario, seed, &mut SimLayerScratch::new())
 }
 
-/// [`run_alg3_scenario`] with an explicit scheduler backend and reusable
-/// scratch storage — the sweep's batched entry point.
+/// [`run_alg3_scenario`] with reusable scratch storage — the sweep's
+/// batched entry point.
 #[must_use]
 pub fn run_alg3_scenario_with(
     params: BoundParams,
@@ -380,15 +361,12 @@ pub fn run_alg3_scenario_with(
     x: u64,
     scenario: Scenario,
     seed: u64,
-    scheduler: SchedulerKind,
     scratch: &mut SimLayerScratch,
 ) -> SimMeasurement {
     let n = params.n;
     assert!(2 * f < n, "Algorithm 3 requires f < n/2");
     let pi0 = ProcessSet::from_indices(0..n - f);
-    let cfg = SimConfig::normalized(n, params.phi, params.delta)
-        .with_seed(seed)
-        .with_scheduler(scheduler);
+    let cfg = SimConfig::normalized(n, params.phi, params.delta).with_seed(seed);
     let schedule = scenario.schedule(n, pi0, GoodKind::PiArbitrary);
     let programs: Vec<Alg3Program<OneThirdRule>> = (0..n)
         .map(|p| {

@@ -7,7 +7,7 @@
 //! and `δ = Δ/Φ−` the normalized transmission delay. [`SimConfig::normalized`]
 //! builds configurations directly in that normalized form (`Φ− = 1`).
 
-use crate::scheduler::SchedulerKind;
+use ho_core::process::MAX_PROCESSES;
 
 /// How step intervals are drawn within the `[Φ−, Φ+]` band.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -49,16 +49,6 @@ pub struct SimConfig {
     pub delay_timing: DelayTiming,
     /// RNG seed — every run is deterministic under its seed.
     pub seed: u64,
-    /// Event-queue backend. Dispatch order — and therefore every observable
-    /// of a run — is identical under both; [`SchedulerKind::Heap`] survives
-    /// as the oracle the lockstep equivalence suite replays against.
-    pub scheduler: SchedulerKind,
-    /// Fan broadcasts out by deep-cloning the payload per destination
-    /// instead of sharing one pooled payload by reference count. This is
-    /// the retired pre-pool delivery scheme, kept only as the oracle for
-    /// the clone-vs-pool equivalence proofs — behaviour is identical, the
-    /// allocation economy is not.
-    pub clone_fanout: bool,
 }
 
 impl SimConfig {
@@ -82,8 +72,6 @@ impl SimConfig {
             step_timing: StepTiming::default(),
             delay_timing: DelayTiming::default(),
             seed: 0,
-            scheduler: SchedulerKind::default(),
-            clone_fanout: false,
         }
     }
 
@@ -108,21 +96,6 @@ impl SimConfig {
         self
     }
 
-    /// Selects the event-queue backend (see [`SimConfig::scheduler`]).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Selects the per-destination deep-clone fan-out (the equivalence
-    /// oracle — see [`SimConfig::clone_fanout`]).
-    #[must_use]
-    pub fn with_clone_fanout(mut self, clone_fanout: bool) -> Self {
-        self.clone_fanout = clone_fanout;
-        self
-    }
-
     /// `φ = Φ+/Φ−`, the normalized process speed bound.
     #[must_use]
     pub fn phi(&self) -> f64 {
@@ -139,9 +112,15 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `Φ+ < Φ−` or any bound is non-positive.
+    /// Panics if `n` is 0 or exceeds [`MAX_PROCESSES`], if `Φ+ < Φ−`, or
+    /// if any bound is non-positive.
     pub fn validate(&self) {
         assert!(self.n >= 1, "need at least one process");
+        assert!(
+            self.n <= MAX_PROCESSES,
+            "n = {} exceeds MAX_PROCESSES",
+            self.n
+        );
         assert!(self.phi_minus > 0.0, "Φ− must be positive");
         assert!(self.phi_plus >= self.phi_minus, "Φ+ must be at least Φ−");
         assert!(self.delta > 0.0, "Δ must be positive");
@@ -284,25 +263,15 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_defaults_to_wheel_with_heap_oracle() {
-        let c = SimConfig::normalized(4, 1.0, 2.0);
-        assert_eq!(c.scheduler, SchedulerKind::Wheel);
-        assert_eq!(
-            c.with_scheduler(SchedulerKind::Heap).scheduler,
-            SchedulerKind::Heap
-        );
-        assert_eq!(SchedulerKind::Heap.name(), "heap");
-        assert_eq!(SchedulerKind::Wheel.name(), "wheel");
-        assert_eq!(
-            SchedulerKind::all(),
-            [SchedulerKind::Heap, SchedulerKind::Wheel]
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "φ = Φ+/Φ− is at least 1")]
     fn phi_below_one_rejected() {
         let _ = SimConfig::normalized(4, 0.5, 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_PROCESSES")]
+    fn n_above_max_processes_rejected() {
+        SimConfig::normalized(MAX_PROCESSES + 1, 1.0, 2.0).validate();
     }
 
     #[test]

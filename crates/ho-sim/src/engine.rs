@@ -25,14 +25,11 @@
 //! destinations sharing a delivery delay ride one [`Event::BroadcastReady`]
 //! carrying a recipient mask, with per-recipient gating (destination down,
 //! π0-down purge) applied at dispatch — under worst-case delay timing a
-//! broadcast costs one queue event instead of `n`. The retired
-//! per-destination clone fan-out survives as [`SimConfig::clone_fanout`],
-//! the oracle for the equivalence tests; it stays uncoalesced, so the
-//! lockstep suite also proves coalesced ≡ per-destination delivery.
+//! broadcast costs one queue event instead of `n`. Unicast plans travel
+//! as one `Event::MakeReady` per destination, carrying an owned payload.
 //!
-//! The event queue itself is pluggable ([`SimConfig::scheduler`]): the
-//! default calendar queue or the original binary heap, bit-identical in
-//! dispatch order (see [`crate::scheduler`]).
+//! Events wait in one calendar queue, which dispatches in `(time, seq)`
+//! order (see [`crate::scheduler`]).
 //!
 //! Which period is in force is never looked up by time: every boundary is
 //! an [`Event::PeriodStart`] in the queue, and dispatching it moves the
@@ -49,7 +46,7 @@ use rand::{Rng, SeedableRng};
 use crate::config::{DelayTiming, SimConfig, StepTiming};
 use crate::program::{Program, StepKind, WireMsg};
 use crate::schedule::{GoodKind, Period, PeriodKind, Schedule};
-use crate::scheduler::{wheel_width, EventQueue};
+use crate::scheduler::{wheel_width, CalendarQueue};
 use crate::stats::SimStats;
 use crate::time::TimePoint;
 
@@ -57,19 +54,19 @@ use crate::time::TimePoint;
 enum Event<M> {
     /// Process `p` takes its next atomic step; stale if `gen` mismatches.
     Step { p: ProcessId, gen: u64 },
-    /// A message becomes ready for reception at `dest`. In-flight broadcast
-    /// messages hold pool handles ([`WireMsg::Shared`]): the sender's
-    /// payload slot stays pinned — and generation-checked — until the last
-    /// in-flight copy is delivered or dropped.
+    /// A unicast message, owned by its one in-flight copy, becomes ready
+    /// for reception at `dest`.
     MakeReady {
         dest: ProcessId,
         from: ProcessId,
         sent_at: TimePoint,
-        msg: WireMsg<M>,
+        msg: M,
     },
     /// A coalesced broadcast delivery: every destination in `recipients`
     /// drew the same delay at send time, so they share one in-flight event
-    /// (and one pool handle). Fan-out — including the per-recipient
+    /// and one pool handle ([`WireMsg::Shared`]), which keeps the sender's
+    /// payload slot pinned — and generation-checked — until every copy is
+    /// consumed or dropped. Fan-out — including the per-recipient
     /// destination-down and π0-down-purge gates — happens at dispatch, in
     /// ascending process order: exactly the order the per-destination
     /// events would have fired, since their sequence numbers were
@@ -105,7 +102,7 @@ struct ProcessSlot<M> {
 /// with [`Simulator::retire`] keeps those allocations warm across
 /// scenarios — the sim-layer analogue of the round loop's `RoundScratch`.
 pub struct SimScratch<P: Program> {
-    queue: Option<EventQueue<Event<P::Msg>>>,
+    queue: Option<CalendarQueue<Event<P::Msg>>>,
     slots: Vec<ProcessSlot<P::Msg>>,
     fanout: Vec<(u64, ProcessSet)>,
 }
@@ -134,7 +131,7 @@ pub struct Simulator<P: Program> {
     schedule: Schedule,
     programs: Vec<P>,
     slots: Vec<ProcessSlot<P::Msg>>,
-    queue: EventQueue<Event<P::Msg>>,
+    queue: CalendarQueue<Event<P::Msg>>,
     /// Send-time coalescing scratch: `(delay bit pattern, recipients)` per
     /// distinct delay drawn by one broadcast. Kept on the simulator so
     /// steady-state broadcasts never allocate.
@@ -182,10 +179,11 @@ impl<P: Program> Simulator<P> {
         cfg.validate();
         assert_eq!(programs.len(), cfg.n, "one program per process");
         let width = wheel_width(cfg.phi_minus, cfg.delta);
-        let queue = match scratch.queue.take() {
-            Some(queue) => queue.recycle(cfg.scheduler, width, cfg.n),
-            None => EventQueue::new(cfg.scheduler, width, cfg.n),
-        };
+        let mut queue = scratch
+            .queue
+            .take()
+            .unwrap_or_else(|| CalendarQueue::new(width, cfg.n));
+        queue.reset(width);
         // Recycled slots keep their buffers' capacity; fresh ones are
         // pre-sized to n so first-round reception never reallocates.
         let mut slots = std::mem::take(&mut scratch.slots);
@@ -254,8 +252,7 @@ impl<P: Program> Simulator<P> {
     pub fn retire(self, scratch: &mut SimScratch<P>) {
         let width = wheel_width(self.cfg.phi_minus, self.cfg.delta);
         let Simulator {
-            cfg,
-            queue,
+            mut queue,
             mut slots,
             mut fanout,
             ..
@@ -264,7 +261,8 @@ impl<P: Program> Simulator<P> {
             slot.buffer.clear();
         }
         fanout.clear();
-        scratch.queue = Some(queue.recycle(cfg.scheduler, width, cfg.n));
+        queue.reset(width);
+        scratch.queue = Some(queue);
         scratch.slots = slots;
         scratch.fanout = fanout;
     }
@@ -554,25 +552,16 @@ impl<P: Program> Simulator<P> {
     /// Executes one send plan — the same closed form of `S_p^r` the
     /// round-synchronous executor consumes. A broadcast fans its single
     /// pooled payload out to all `n` destinations (the sender included) by
-    /// reference count; with [`SimConfig::clone_fanout`] set, it instead
-    /// deep-clones the payload per destination — the retired per-message
-    /// scheme, kept as the oracle for the clone-vs-pool equivalence proof.
+    /// reference count.
     fn consume_plan(&mut self, from: ProcessId, plan: SendPlan<P::Msg>) {
         match plan {
             SendPlan::Broadcast(payload) => {
                 self.stats.broadcast_sends += 1;
-                if self.cfg.clone_fanout {
-                    for q in 0..self.cfg.n {
-                        self.transmit(from, ProcessId::new(q), WireMsg::Owned((*payload).clone()));
-                    }
-                    return;
-                }
-                // Pooled path: sample per-destination routing in ascending
-                // destination order — the identical RNG draw sequence to
-                // the clone oracle — then coalesce the survivors of each
-                // distinct delay into one in-flight event with a recipient
-                // mask. Under worst-case delay timing every good-period
-                // destination shares Δ, so a broadcast costs one event.
+                // Sample per-destination routing in ascending destination
+                // order, then coalesce the survivors of each distinct delay
+                // into one in-flight event with a recipient mask. Under
+                // worst-case delay timing every good-period destination
+                // shares Δ, so a broadcast costs one event.
                 let mut fanout = std::mem::take(&mut self.fanout);
                 debug_assert!(fanout.is_empty());
                 for q in 0..self.cfg.n {
@@ -604,30 +593,25 @@ impl<P: Program> Simulator<P> {
                 self.fanout = fanout;
             }
             SendPlan::Unicast(pairs) => {
-                for (q, m) in pairs {
-                    self.transmit(from, q, WireMsg::Owned(m));
+                for (dest, msg) in pairs {
+                    self.stats.transmissions += 1;
+                    let (lost, delay) = self.route(from, dest);
+                    if lost {
+                        self.stats.dropped += 1;
+                        continue;
+                    }
+                    let sent_at = self.now;
+                    let event = Event::MakeReady {
+                        dest,
+                        from,
+                        sent_at,
+                        msg,
+                    };
+                    self.push(sent_at.after(delay), event);
                 }
             }
             SendPlan::Silent => {}
         }
-    }
-
-    fn transmit(&mut self, from: ProcessId, to: ProcessId, msg: WireMsg<P::Msg>) {
-        self.stats.transmissions += 1;
-        let (lost, delay) = self.route(from, to);
-        if lost {
-            self.stats.dropped += 1;
-            return;
-        }
-        self.push(
-            self.now.after(delay),
-            Event::MakeReady {
-                dest: to,
-                from,
-                sent_at: self.now,
-                msg,
-            },
-        );
     }
 
     /// Loss and delay for a transmission starting now.
@@ -666,19 +650,15 @@ impl<P: Program> Simulator<P> {
         }
     }
 
-    fn on_make_ready(
-        &mut self,
-        dest: ProcessId,
-        from: ProcessId,
-        sent_at: TimePoint,
-        msg: WireMsg<P::Msg>,
-    ) {
+    fn on_make_ready(&mut self, dest: ProcessId, from: ProcessId, sent_at: TimePoint, msg: P::Msg) {
         if self.purged(from, sent_at) || self.slots[dest.index()].down {
             self.stats.dropped += 1;
             return;
         }
         self.stats.messages.delivered += 1;
-        self.slots[dest.index()].buffer.push((from, msg));
+        self.slots[dest.index()]
+            .buffer
+            .push((from, WireMsg::Owned(msg)));
     }
 
     /// Delivers a coalesced broadcast: per-recipient gating at the shared

@@ -31,6 +31,5 @@ pub use config::{BadPeriodConfig, DelayTiming, SimConfig, StepTiming};
 pub use engine::{SimScratch, Simulator};
 pub use program::{Program, StepKind, WireMsg};
 pub use schedule::{GoodKind, LinkSchedule, Period, PeriodKind, Schedule};
-pub use scheduler::SchedulerKind;
 pub use stats::SimStats;
 pub use time::TimePoint;

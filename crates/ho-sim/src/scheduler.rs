@@ -1,30 +1,25 @@
-//! Event-queue backends for the discrete-event engine.
+//! The discrete-event engine's event queue: a bucketed calendar queue.
 //!
 //! The engine dispatches strictly in `(time, seq)` order — time first, FIFO
-//! at equal timestamps. Two backends implement that contract:
+//! at equal timestamps. `CalendarQueue` implements that contract as a
+//! time wheel: a power-of-two ring of buckets, one simulated *day* (a
+//! bucket width of time) per bucket, with a far-overflow tier for events
+//! beyond the wheel's horizon. Buckets are intrusive linked lists over one
+//! shared node arena, so event storage is recycled through a free list and
+//! the arena only ever grows to the queue's high-water mark. The day under
+//! the cursor is kept apart as one sorted run: its bucket list is walked
+//! and sorted **once**, when the cursor arrives, so a pop is a `Vec::pop`
+//! and a push onto the cursor day a binary-search insert — neither depends
+//! on how many events share the day. Every other push is `O(1)`. Event
+//! days are computed **once at push time** in integer arithmetic, so
+//! cursor advancement never re-derives a day from floating point.
 //!
-//! * [`SchedulerKind::Heap`] — the original global `BinaryHeap`, `O(log E)`
-//!   per operation. Kept as the equivalence oracle.
-//! * [`SchedulerKind::Wheel`] — a bucketed calendar queue (time wheel):
-//!   a power-of-two ring of buckets, one simulated *day* (a bucket width
-//!   of time) per bucket, with a far-overflow tier for events beyond the
-//!   wheel's horizon. Buckets are intrusive linked lists over one shared
-//!   node arena, so event storage is recycled through a free list and the
-//!   arena only ever grows to the queue's high-water mark. The day under
-//!   the cursor is kept apart as one sorted run: its bucket list is walked
-//!   and sorted **once**, when the cursor arrives, so a pop is a `Vec::pop`
-//!   and a push onto the cursor day a binary-search insert — neither
-//!   depends on how many events share the day. Every other push is `O(1)`.
-//!   Event days are computed **once at push time** in integer arithmetic,
-//!   so cursor advancement never re-derives a day from floating point and
-//!   the two backends agree bit-for-bit on dispatch order.
-//!
-//! Both backends yield the exact global `(time, seq)` minimum on every pop,
-//! so a simulation run is bit-identical under either — the lockstep suite
-//! in `tests/scheduler_equivalence.rs` proves it across the fault zoo.
+//! Every pop yields the exact global `(time, seq)` minimum: the unit tests
+//! replay randomized and edge-case traces against a binary-heap reference
+//! model, and `tests/sim_layer_pins.rs` pins whole runs across the fault
+//! zoo.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::time::TimePoint;
 
@@ -34,65 +29,12 @@ use crate::time::TimePoint;
 /// anything further lands in the far tier and migrates on wrap.
 const NBUCKETS: usize = 128;
 
-/// Which event-queue backend a [`crate::Simulator`] run uses.
-///
-/// Dispatch order is identical under both — `Heap` survives as the oracle
-/// the lockstep equivalence suite replays against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// Global binary heap ordered by `(time, seq)` — the original backend.
-    Heap,
-    /// Bucketed calendar queue with FIFO buckets and a far-overflow tier.
-    #[default]
-    Wheel,
-}
-
-impl SchedulerKind {
-    /// Short lowercase name, used in scenario ids and JSON reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
-        }
-    }
-
-    /// Both backends, oracle first — the axis the divergence checks sweep.
-    #[must_use]
-    pub fn all() -> [SchedulerKind; 2] {
-        [SchedulerKind::Heap, SchedulerKind::Wheel]
-    }
-}
-
 /// The bucket width the engine derives from its timing config: half the
 /// smallest recurring inter-event gap, so steady-state bucket occupancy
 /// stays near one event per process.
 #[must_use]
 pub(crate) fn wheel_width(phi_minus: f64, delta: f64) -> f64 {
     (phi_minus.min(delta) * 0.5).max(1e-9)
-}
-
-pub(crate) struct HeapEntry<T> {
-    at: TimePoint,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Arena null index: end of a bucket or free list.
@@ -142,7 +84,7 @@ pub(crate) struct CalendarQueue<T> {
 }
 
 impl<T> CalendarQueue<T> {
-    fn new(width: f64, reserve: usize) -> Self {
+    pub(crate) fn new(width: f64, reserve: usize) -> Self {
         CalendarQueue {
             // Steady state holds one step event per process plus in-flight
             // coalesced broadcasts; start with headroom over n.
@@ -159,7 +101,9 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    fn reset(&mut self, width: f64) {
+    /// Empties the queue for a fresh run with bucket width `width`:
+    /// pending events are dropped, every buffer keeps its capacity.
+    pub(crate) fn reset(&mut self, width: f64) {
         self.arena.clear();
         self.free = NIL;
         self.today.clear();
@@ -171,7 +115,7 @@ impl<T> CalendarQueue<T> {
         self.near = 0;
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.near + self.far_len
     }
 
@@ -198,7 +142,7 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    fn push(&mut self, at: TimePoint, seq: u64, item: T) {
+    pub(crate) fn push(&mut self, at: TimePoint, seq: u64, item: T) {
         // `as u64` truncates toward zero — floor, for non-negative time.
         // The clamp covers a push whose own day is already behind the
         // cursor — the floating-point edge where an event pushed at the
@@ -229,7 +173,7 @@ impl<T> CalendarQueue<T> {
     /// The last element of `today` *is* the global minimum: a day maps to
     /// exactly one bucket, and every earlier day was exhausted before the
     /// cursor advanced past it.
-    fn pop_at_most(&mut self, deadline: TimePoint) -> Option<(TimePoint, T)> {
+    pub(crate) fn pop_at_most(&mut self, deadline: TimePoint) -> Option<(TimePoint, T)> {
         while self.today.is_empty() {
             if self.near > 0 {
                 self.day += 1;
@@ -315,140 +259,49 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-/// The engine-facing queue: one of the two backends behind a common API.
-pub(crate) enum EventQueue<T> {
-    Heap(BinaryHeap<Reverse<HeapEntry<T>>>),
-    Wheel(CalendarQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    pub(crate) fn new(kind: SchedulerKind, width: f64, reserve: usize) -> Self {
-        match kind {
-            SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(reserve)),
-            SchedulerKind::Wheel => EventQueue::Wheel(CalendarQueue::new(width, reserve)),
-        }
-    }
-
-    /// Reuses this queue's allocations for a fresh run: pending entries are
-    /// dropped, bucket and heap storage survives. Falls back to a fresh
-    /// allocation only when the backend kind changes.
-    pub(crate) fn recycle(self, kind: SchedulerKind, width: f64, reserve: usize) -> Self {
-        match (self, kind) {
-            (EventQueue::Heap(mut heap), SchedulerKind::Heap) => {
-                heap.clear();
-                EventQueue::Heap(heap)
-            }
-            (EventQueue::Wheel(mut wheel), SchedulerKind::Wheel) => {
-                wheel.reset(width);
-                EventQueue::Wheel(wheel)
-            }
-            (_, kind) => EventQueue::new(kind, width, reserve),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(heap) => heap.len(),
-            EventQueue::Wheel(wheel) => wheel.len(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, at: TimePoint, seq: u64, item: T) {
-        match self {
-            EventQueue::Heap(heap) => heap.push(Reverse(HeapEntry { at, seq, item })),
-            EventQueue::Wheel(wheel) => wheel.push(at, seq, item),
-        }
-    }
-
-    /// Pops the earliest event iff its time is `<= deadline`.
-    pub(crate) fn pop_at_most(&mut self, deadline: TimePoint) -> Option<(TimePoint, T)> {
-        match self {
-            EventQueue::Heap(heap) => {
-                if heap.peek().is_some_and(|Reverse(e)| e.at <= deadline) {
-                    let Reverse(e) = heap.pop().expect("peeked");
-                    Some((e.at, e.item))
-                } else {
-                    None
-                }
-            }
-            EventQueue::Wheel(wheel) => wheel.pop_at_most(deadline),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BinaryHeap;
 
     const FAR: TimePoint = TimePoint::MAX;
 
-    fn drain(queue: &mut EventQueue<u32>) -> Vec<(TimePoint, u32)> {
-        let mut out = Vec::new();
-        while let Some(e) = queue.pop_at_most(FAR) {
-            out.push(e);
-        }
-        out
-    }
+    /// The reference model: one global binary heap over `(at, seq)`, whose
+    /// pops are the dispatch order by definition.
+    #[derive(Default)]
+    struct Heap(BinaryHeap<Reverse<(TimePoint, u64, u32)>>);
 
-    #[test]
-    fn fifo_at_equal_timestamps() {
-        for kind in SchedulerKind::all() {
-            let mut queue = EventQueue::new(kind, 0.5, 4);
-            let t = TimePoint::new(3.25);
-            for seq in 0..10u64 {
-                queue.push(t, seq, seq as u32);
+    impl Heap {
+        fn push(&mut self, at: TimePoint, seq: u64, item: u32) {
+            self.0.push(Reverse((at, seq, item)));
+        }
+
+        fn pop_at_most(&mut self, deadline: TimePoint) -> Option<(TimePoint, u32)> {
+            match self.0.peek() {
+                Some(&Reverse((at, _, _))) if at <= deadline => {
+                    self.0.pop().map(|Reverse((at, _, item))| (at, item))
+                }
+                _ => None,
             }
-            let order: Vec<u32> = drain(&mut queue).into_iter().map(|(_, x)| x).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>(), "{kind:?} keeps FIFO");
         }
     }
 
-    #[test]
-    fn far_future_events_jump_the_cursor() {
-        let mut queue = EventQueue::new(SchedulerKind::Wheel, 0.5, 4);
-        queue.push(TimePoint::new(0.1), 0, 1);
-        queue.push(TimePoint::new(10_000.0), 1, 2);
-        queue.push(TimePoint::new(250.0), 2, 3);
-        assert_eq!(queue.len(), 3);
-        let order: Vec<u32> = drain(&mut queue).into_iter().map(|(_, x)| x).collect();
-        assert_eq!(order, vec![1, 3, 2]);
-        assert_eq!(queue.len(), 0);
-    }
-
-    #[test]
-    fn deadline_is_respected_without_losing_events() {
-        for kind in SchedulerKind::all() {
-            let mut queue = EventQueue::new(kind, 0.5, 4);
-            queue.push(TimePoint::new(1.0), 0, 1);
-            queue.push(TimePoint::new(5.0), 1, 2);
-            assert_eq!(
-                queue.pop_at_most(TimePoint::new(2.0)),
-                Some((TimePoint::new(1.0), 1))
-            );
-            assert_eq!(queue.pop_at_most(TimePoint::new(2.0)), None);
-            assert_eq!(queue.len(), 1, "{kind:?} keeps the late event");
-            assert_eq!(
-                queue.pop_at_most(TimePoint::new(5.0)),
-                Some((TimePoint::new(5.0), 2))
-            );
-        }
-    }
-
-    /// Both backends fed one trace: every pop — and the length after it —
-    /// must agree, so a test only has to choose what to push and when.
+    /// The wheel and the reference model fed one trace: every pop — and
+    /// the length after it — must agree, so a test only has to choose what
+    /// to push and when.
     struct Lockstep {
-        heap: EventQueue<u32>,
-        wheel: EventQueue<u32>,
+        heap: Heap,
+        wheel: CalendarQueue<u32>,
         seq: u64,
     }
 
     impl Lockstep {
         fn new() -> Self {
             Lockstep {
-                heap: EventQueue::new(SchedulerKind::Heap, 0.5, 4),
-                wheel: EventQueue::new(SchedulerKind::Wheel, 0.5, 4),
+                heap: Heap::default(),
+                wheel: CalendarQueue::new(0.5, 4),
                 seq: 0,
             }
         }
@@ -463,7 +316,7 @@ mod tests {
         fn pop(&mut self, deadline: TimePoint) -> Option<(f64, u32)> {
             let expect = self.heap.pop_at_most(deadline);
             assert_eq!(self.wheel.pop_at_most(deadline), expect);
-            assert_eq!(self.wheel.len(), self.heap.len());
+            assert_eq!(self.wheel.len(), self.heap.0.len());
             expect.map(|(at, item)| (at.get(), item))
         }
 
@@ -472,6 +325,35 @@ mod tests {
                 .map(|(_, x)| x)
                 .collect()
         }
+    }
+
+    #[test]
+    fn fifo_at_equal_timestamps() {
+        let mut q = Lockstep::new();
+        for _ in 0..10 {
+            q.push(3.25);
+        }
+        assert_eq!(q.drain(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn far_future_events_jump_the_cursor() {
+        let mut q = Lockstep::new();
+        for at in [0.1, 10_000.0, 250.0] {
+            q.push(at);
+        }
+        assert_eq!(q.wheel.len(), 3);
+        assert_eq!(q.drain(), vec![0, 2, 1]);
+    }
+
+    #[test]
+    fn deadline_is_respected_without_losing_events() {
+        let mut q = Lockstep::new();
+        q.push(1.0);
+        q.push(5.0);
+        assert_eq!(q.pop(TimePoint::new(2.0)), Some((1.0, 0)));
+        assert_eq!(q.pop(TimePoint::new(2.0)), None);
+        assert_eq!(q.pop(TimePoint::new(5.0)), Some((5.0, 1)));
     }
 
     /// The wheel replays a randomized push/pop trace in exactly the heap's
@@ -600,16 +482,17 @@ mod tests {
     }
 
     #[test]
-    fn recycle_preserves_order_and_reuses_storage() {
-        for kind in SchedulerKind::all() {
-            let mut queue = EventQueue::new(kind, 0.5, 8);
-            for seq in 0..32u64 {
-                queue.push(TimePoint::new(seq as f64 * 0.3), seq, seq as u32);
-            }
-            queue = queue.recycle(kind, 0.5, 8);
-            assert_eq!(queue.len(), 0, "recycle drops pending events");
-            queue.push(TimePoint::new(1.0), 0, 7);
-            assert_eq!(queue.pop_at_most(FAR), Some((TimePoint::new(1.0), 7)));
+    fn reset_drops_pending_events_and_keeps_order() {
+        let mut q = Lockstep::new();
+        for seq in 0..32 {
+            q.push(f64::from(seq) * 0.3);
         }
+        q.wheel.reset(0.5);
+        q.heap.0.clear();
+        assert_eq!(q.wheel.len(), 0, "reset drops pending events");
+        for at in [1.0, 0.5, 1.0] {
+            q.push(at);
+        }
+        assert_eq!(q.drain(), vec![33, 32, 34]);
     }
 }

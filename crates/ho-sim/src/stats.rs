@@ -1,4 +1,5 @@
-//! Run statistics: step, message and fault counters.
+//! Run statistics: step, message and fault counters, plus two
+//! event-queue diagnostics.
 //!
 //! Message accounting is shared with the round-synchronous executor: the
 //! simulator embeds the same [`MessageStats`] struct the executor reports,
@@ -10,15 +11,10 @@
 
 use ho_core::executor::MessageStats;
 
-/// Counters accumulated over a simulation run.
-///
-/// Equality compares the *behavioural* counters only: `events_dispatched`
-/// and `peak_queue_depth` describe the event-queue mechanics, which
-/// legitimately differ between the coalesced broadcast path and the
-/// per-destination `clone_fanout` oracle (fewer, fatter events). They are
-/// identical across scheduler backends — the lockstep suite asserts that
-/// explicitly.
-#[derive(Clone, Debug, Default)]
+/// Counters accumulated over a simulation run. Every field is a pure
+/// function of the configuration, the schedule and the programs, so two
+/// runs of the same setup compare equal field by field.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Send steps executed (each may fan out to `n` transmissions).
     pub send_steps: u64,
@@ -49,32 +45,11 @@ pub struct SimStats {
     pub messages: MessageStats,
     /// Events dispatched from the queue — the engine's unit of work. A
     /// coalesced broadcast dispatches one event per distinct delay, not one
-    /// per destination, so this is *lower* than under `clone_fanout`.
-    /// Excluded from equality (see the struct docs).
+    /// per destination.
     pub events_dispatched: u64,
-    /// High-water mark of pending events in the scheduler. Excluded from
-    /// equality (see the struct docs).
+    /// High-water mark of pending events in the queue.
     pub peak_queue_depth: u64,
 }
-
-impl PartialEq for SimStats {
-    fn eq(&self, other: &Self) -> bool {
-        // Queue-mechanics diagnostics deliberately excluded — see the
-        // struct docs.
-        self.send_steps == other.send_steps
-            && self.receive_steps == other.receive_steps
-            && self.empty_receives == other.empty_receives
-            && self.transmissions == other.transmissions
-            && self.dropped == other.dropped
-            && self.discarded == other.discarded
-            && self.crashes == other.crashes
-            && self.recoveries == other.recoveries
-            && self.broadcast_sends == other.broadcast_sends
-            && self.messages == other.messages
-    }
-}
-
-impl Eq for SimStats {}
 
 impl SimStats {
     /// Total steps taken by all processes.
@@ -126,27 +101,5 @@ mod tests {
     #[test]
     fn empty_run_ratio_is_one() {
         assert_eq!(SimStats::default().delivery_ratio(), 1.0);
-    }
-
-    #[test]
-    fn queue_mechanics_are_excluded_from_equality() {
-        let a = SimStats {
-            send_steps: 1,
-            events_dispatched: 10,
-            peak_queue_depth: 3,
-            ..SimStats::default()
-        };
-        let b = SimStats {
-            send_steps: 1,
-            events_dispatched: 99,
-            peak_queue_depth: 7,
-            ..SimStats::default()
-        };
-        assert_eq!(a, b, "queue diagnostics do not affect equality");
-        let c = SimStats {
-            send_steps: 2,
-            ..a.clone()
-        };
-        assert_ne!(a, c, "behavioural counters still do");
     }
 }

@@ -579,7 +579,6 @@ fn sim_engine_zero_allocations_per_round_in_steady_state() {
         cycles: 200,
     };
     let cfg = SimConfig::normalized(n, 1.0, 2.0).with_seed(13);
-    assert!(matches!(cfg.scheduler, heardof::sim::SchedulerKind::Wheel));
     let link = heardof::sim::LinkSchedule::new(plan, 13, n, 2.0);
     assert!(
         link.horizon() > TimePoint::new(800.0),

@@ -3,6 +3,9 @@
 //! partially synchronous system at the bottom — across alternating good and
 //! bad periods, crashes, recoveries and loss.
 
+#[path = "common/pins.rs"]
+mod pins;
+
 use heardof::core::algorithms::OneThirdRule;
 use heardof::core::process::{ProcessId, ProcessSet};
 use heardof::core::translation::Translated;
@@ -182,13 +185,11 @@ mod golden {
 
     impl Digest {
         fn new() -> Self {
-            Digest(0xcbf2_9ce4_8422_2325)
+            Digest(pins::FNV_OFFSET)
         }
 
         fn word(&mut self, w: u64) {
-            for b in w.to_le_bytes() {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            self.0 = pins::fold(self.0, w);
         }
 
         fn words(&mut self, ws: &[u64]) {

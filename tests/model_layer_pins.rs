@@ -15,28 +15,14 @@
 //! A change to any draw, decision, round count, delivery count or payload
 //! counter in any cell shows here.
 
+#[path = "common/pins.rs"]
+mod pins;
+
 use heardof::core::adversary::{Adversary, EventuallyGood, KernelOnly, RandomLoss};
 use heardof::core::process::ProcessSet;
 use heardof::core::round::Round;
 use heardof::harness::{AdversarySpec, AlgorithmSpec, Sweep};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One step of the digest (FNV-1a over the value's eight bytes).
-fn fold(h: u64, x: u64) -> u64 {
-    x.to_le_bytes().iter().fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Folds one HO set as its two 64-bit membership words.
-fn fold_set(h: u64, set: ProcessSet) -> u64 {
-    let mut words = [0u64; 2];
-    for q in set.iter() {
-        words[q.index() / 64] |= 1 << (q.index() % 64);
-    }
-    fold(fold(h, words[0]), words[1])
-}
+use pins::{fold, fold_set, FNV_OFFSET};
 
 const SIZES: [usize; 9] = [1, 2, 4, 7, 10, 63, 64, 65, 128];
 

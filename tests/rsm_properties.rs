@@ -12,6 +12,9 @@
 //! UniformVoting runs under full delivery, the only environment in which
 //! pipelined replicas stay in lockstep (see `ho_harness::rsm`).
 
+#[path = "common/pins.rs"]
+mod pins;
+
 use heardof::harness::{
     AdversarySpec, AlgorithmSpec, RsmReport, RsmScenario, RsmSweep, WorkloadSpec,
 };
@@ -23,6 +26,7 @@ use heardof::core::algorithms::{LastVoting, OneThirdRule};
 use heardof::core::contact::{contact_seed, ContactPlan, ContactPlanAdversary};
 use heardof::core::process::ProcessSet;
 use heardof::core::round::Round;
+use pins::{fold, FNV_OFFSET};
 
 /// The full adversary zoo (every fault environment the model-layer sweep
 /// knows, parameters included).
@@ -558,13 +562,6 @@ fn closed_loop_commands_are_conserved() {
     );
 }
 
-/// One step of the history digest (FNV-1a over the value's eight bytes).
-fn fold(h: u64, x: u64) -> u64 {
-    x.to_le_bytes().iter().fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Folds everything a `MultiSlot` run leaves behind into `h`: every
 /// replica's applied log, its service counters and its latency samples.
 fn fold_history<A: HoAlgorithm<Value = u64>>(mut h: u64, driver: &LogDriver<A>) -> u64 {
@@ -609,7 +606,7 @@ const PINNED_ENVS: [PinnedEnv; 4] = [
 /// 3 seeds, 120 rounds each, folded in that order.
 fn pinned_row<A: HoAlgorithm<Value = u64>>(inner: impl Fn(usize) -> A, env: PinnedEnv) -> u64 {
     const ROUNDS: u64 = 120;
-    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for depth in [1, 4, 16] {
         for n in [4, 7] {
             for flow in [FlowControl::off(), FlowControl::on()] {

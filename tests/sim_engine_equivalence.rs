@@ -1,259 +1,177 @@
-//! Equivalence proof for the simulator's pooled-plan message path.
+//! Lockstep proof that the engine's two fan-out paths deliver the same
+//! run.
 //!
-//! The engine used to fan a broadcast out by deep-cloning the wire message
-//! per destination; it now fans out one pooled payload by reference count.
-//! The old scheme survives only as the `clone_fanout` oracle
-//! ([`SimConfig::with_clone_fanout`]). This suite runs both modes in
-//! lockstep across the fault-schedule zoo and asserts **identical**
-//! behaviour: delivered message sequences, per-process received histories,
-//! round/decision trajectories, and every engine counter. The only thing
-//! allowed to differ is the allocation economy — which is the whole point.
-//!
-//! (Mirrors the style of `tests/monitor_equivalence.rs`: same-seed lockstep
-//! runs, equality on everything observable.)
+//! A broadcast plan fans one pooled payload out to every destination by
+//! reference count, and destinations sharing a delay ride one coalesced
+//! queue event. A unicast plan travels as one owned payload and one queue
+//! event per destination. Both draw per-destination loss and delay in
+//! ascending destination order, so a broadcast and a unicast of the same
+//! message to every process, in that order, must produce the same run.
+//! This suite wraps each program in [`Unicasting`], which rewrites every
+//! broadcast into that unicast, runs both across the fault-schedule zoo
+//! and asserts **identical** behaviour: per-process received histories,
+//! round/decision trajectories and every behavioural counter. What may
+//! differ is what the pooled path exists to save: payload constructions,
+//! queue events and queue depth.
+
+#[path = "common/sim_zoo.rs"]
+mod sim_zoo;
+
+use std::fmt::Debug;
 
 use heardof::core::algorithms::OneThirdRule;
+use heardof::core::executor::MessageStats;
 use heardof::core::process::{ProcessId, ProcessSet};
-use heardof::predicates::{Alg2Program, Alg3Program, BoundParams, RoundLog};
+use heardof::core::send_plan::SendPlan;
+use heardof::predicates::{Alg2Program, BoundParams, RoundLog};
 use heardof::sim::{
-    BadPeriodConfig, DelayTiming, GoodKind, Period, PeriodKind, Program, Schedule, SimConfig,
-    Simulator, StepKind, StepTiming, TimePoint, WireMsg,
+    GoodKind, Program, Schedule, SimStats, Simulator, StepKind, TimePoint, WireMsg,
+};
+use sim_zoo::{
+    alg2_programs, alg2_words, alg3_programs, alg3_words, jittered, recorders, zoo_entry, ZOO,
 };
 
-/// The fault-schedule zoo: every period shape the simulator models.
-fn schedule_zoo(n: usize) -> Vec<(&'static str, Schedule)> {
-    vec![
-        (
-            "always_good_pi_down",
-            Schedule::always_good(ProcessSet::full(n), GoodKind::PiDown),
-        ),
-        (
-            "always_good_pi_arbitrary_subset",
-            Schedule::always_good(ProcessSet::from_indices(0..n - 1), GoodKind::PiArbitrary),
-        ),
-        (
-            "lossy_then_good",
-            Schedule::bad_then_good(
-                BadPeriodConfig::lossy(0.6),
-                TimePoint::new(30.0),
-                ProcessSet::full(n),
-                GoodKind::PiDown,
-            ),
-        ),
-        (
-            "crashy_then_good",
-            Schedule::bad_then_good(
-                BadPeriodConfig::default(),
-                TimePoint::new(30.0),
-                ProcessSet::full(n),
-                GoodKind::PiArbitrary,
-            ),
-        ),
-        (
-            "omissive_forever",
-            Schedule::new(vec![Period {
-                start: TimePoint::ZERO,
-                kind: PeriodKind::Bad(BadPeriodConfig::omissive(0.4, 0.3)),
-            }]),
-        ),
-    ]
+/// `P` with every broadcast sent as a unicast of the same message to each
+/// of the `n` processes, in ascending order.
+#[derive(Clone, Debug)]
+struct Unicasting<P> {
+    inner: P,
+    n: usize,
 }
 
-fn config(n: usize, seed: u64, clone_fanout: bool) -> SimConfig {
-    SimConfig::normalized(n, 1.0, 2.0)
-        .with_seed(seed)
-        .with_step_timing(StepTiming::Jittered)
-        .with_delay_timing(DelayTiming::Jittered)
-        .with_clone_fanout(clone_fanout)
-}
+impl<P: Program> Program for Unicasting<P> {
+    type Msg = P::Msg;
 
-/// A chatter program that records its full received history — the raw
-/// "delivered message sequences and received histories" witness.
-#[derive(Clone, Debug, Default)]
-struct Recorder {
-    sent: u64,
-    received: Vec<(ProcessId, u64)>,
-    crashes: u64,
-    want_send: bool,
-}
-
-impl Program for Recorder {
-    type Msg = u64;
-
-    fn next_step(&mut self) -> StepKind<u64> {
-        self.want_send = !self.want_send;
-        if self.want_send {
-            self.sent += 1;
-            StepKind::send_all(self.sent)
-        } else {
-            StepKind::Receive
+    fn next_step(&mut self) -> StepKind<P::Msg> {
+        match self.inner.next_step() {
+            StepKind::Send(SendPlan::Broadcast(payload)) => {
+                let pairs = (0..self.n).map(|q| (ProcessId::new(q), (*payload).clone()));
+                StepKind::Send(SendPlan::unicast(pairs.collect()))
+            }
+            step => step,
         }
     }
 
-    fn select_message(&mut self, buffer: &[(ProcessId, WireMsg<u64>)]) -> Option<usize> {
-        // A value-dependent policy: any payload corruption (a recycled slot
-        // read through a stale handle) would change the selection and
-        // cascade into a different history.
-        buffer
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, (q, m))| (**m, q.index(), *i))
-            .map(|(i, _)| i)
+    fn select_message(&mut self, buffer: &[(ProcessId, WireMsg<P::Msg>)]) -> Option<usize> {
+        self.inner.select_message(buffer)
     }
 
-    fn on_receive(&mut self, message: Option<(ProcessId, WireMsg<u64>)>) {
-        if let Some((q, m)) = message {
-            self.received.push((q, *m));
-        }
+    fn on_receive(&mut self, message: Option<(ProcessId, WireMsg<P::Msg>)>) {
+        self.inner.on_receive(message);
     }
 
     fn on_crash(&mut self) {
-        self.crashes += 1;
-        self.received.clear(); // volatile
+        self.inner.on_crash();
     }
 
-    fn on_recover(&mut self) {}
+    fn on_recover(&mut self) {
+        self.inner.on_recover();
+    }
+
+    fn discard_buffered(&self, msg: &P::Msg) -> bool {
+        self.inner.discard_buffered(msg)
+    }
+
+    fn message_stats(&self) -> MessageStats {
+        self.inner.message_stats()
+    }
+}
+
+/// The counters that describe what happened in a run, as opposed to what
+/// it cost: every [`SimStats`] field but the broadcast count, the payload
+/// construction counters and the queue diagnostics.
+fn behaviour(s: &SimStats) -> [u64; 9] {
+    [
+        s.send_steps,
+        s.receive_steps,
+        s.empty_receives,
+        s.transmissions,
+        s.dropped,
+        s.discarded,
+        s.crashes,
+        s.recoveries,
+        s.messages.delivered,
+    ]
+}
+
+/// Runs `programs(n)` over every zoo entry and seeds `0..seeds` up to
+/// `horizon`, as written and wrapped in [`Unicasting`], and asserts both
+/// observe the same `observe(program)` for each process and the same
+/// behavioural counters.
+fn assert_identical_across_fanouts<P: Program, T: PartialEq + Debug>(
+    name: &str,
+    n: usize,
+    (seeds, horizon): (u64, f64),
+    programs: impl Fn(usize) -> Vec<P>,
+    observe: impl Fn(&P) -> T,
+) {
+    for entry in 0..ZOO {
+        for seed in 0..seeds {
+            let (cfg, schedule) = (jittered(n, seed), zoo_entry(n, entry));
+            let mut pooled = Simulator::new(cfg, schedule.clone(), programs(n));
+            pooled.run_for(TimePoint::new(horizon));
+            let unicasting = programs(n)
+                .into_iter()
+                .map(|inner| Unicasting { inner, n })
+                .collect();
+            let mut unicast = Simulator::new(cfg, schedule, unicasting);
+            unicast.run_for(TimePoint::new(horizon));
+
+            let at = format!("{name}/n{n}/{entry}/s{seed}");
+            let (pooled_stats, unicast_stats) = (pooled.stats(), unicast.stats());
+            assert!(
+                pooled_stats.broadcast_sends > 0,
+                "{at}: pooled run broadcast"
+            );
+            assert_eq!(
+                unicast_stats.broadcast_sends, 0,
+                "{at}: unicast run broadcast"
+            );
+            let observed: Vec<T> = pooled.programs().iter().map(&observe).collect();
+            let unicast_observed: Vec<T> = unicast
+                .programs()
+                .iter()
+                .map(|p| observe(&p.inner))
+                .collect();
+            assert_eq!(observed, unicast_observed, "{at}: processes diverged");
+            assert_eq!(
+                behaviour(pooled_stats),
+                behaviour(unicast_stats),
+                "{at}: counters diverged\n{pooled_stats:?}\n{unicast_stats:?}"
+            );
+        }
+    }
 }
 
 #[test]
 fn recorder_histories_identical_across_fanout_modes() {
     for n in [2, 5] {
-        for (name, _) in schedule_zoo(n) {
-            for seed in 0..6 {
-                let run = |clone_fanout: bool| {
-                    let schedule = schedule_zoo(n)
-                        .into_iter()
-                        .find(|(s, _)| *s == name)
-                        .unwrap()
-                        .1;
-                    let mut sim = Simulator::new(
-                        config(n, seed, clone_fanout),
-                        schedule,
-                        vec![Recorder::default(); n],
-                    );
-                    sim.run_for(TimePoint::new(120.0));
-                    let histories: Vec<Vec<(ProcessId, u64)>> =
-                        sim.programs().iter().map(|p| p.received.clone()).collect();
-                    (histories, sim.stats().clone())
-                };
-                let (pooled_hist, pooled_stats) = run(false);
-                let (cloned_hist, cloned_stats) = run(true);
-                assert_eq!(
-                    pooled_hist, cloned_hist,
-                    "{name}/n{n}/s{seed}: received histories diverged"
-                );
-                // Every engine counter — steps, transmissions, drops,
-                // deliveries, crashes — must match exactly.
-                assert_eq!(
-                    pooled_stats, cloned_stats,
-                    "{name}/n{n}/s{seed}: stats diverged"
-                );
-            }
-        }
+        assert_identical_across_fanouts("recorder", n, (6, 120.0), recorders, |p| {
+            (p.sent, p.crashes, p.received.clone())
+        });
     }
 }
 
 #[test]
 fn alg2_behaviour_identical_across_fanout_modes() {
-    let n = 4;
-    let params = BoundParams::new(n, 1.0, 2.0);
-    for (name, _) in schedule_zoo(n) {
-        for seed in 0..5 {
-            let run = |clone_fanout: bool| {
-                let schedule = schedule_zoo(n)
-                    .into_iter()
-                    .find(|(s, _)| *s == name)
-                    .unwrap()
-                    .1;
-                let programs: Vec<Alg2Program<OneThirdRule>> = (0..n)
-                    .map(|p| {
-                        Alg2Program::new(
-                            OneThirdRule::new(n),
-                            ProcessId::new(p),
-                            p as u64 % 3,
-                            params.alg2_timeout(),
-                        )
-                    })
-                    .collect();
-                let mut sim = Simulator::new(config(n, seed, clone_fanout), schedule, programs);
-                sim.run_for(TimePoint::new(200.0));
-                let per_process: Vec<_> = sim
-                    .programs()
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.round(),
-                            p.decision(),
-                            p.crash_count(),
-                            p.records().to_vec(),
-                        )
-                    })
-                    .collect();
-                (per_process, sim.stats().clone())
-            };
-            let (pooled, pooled_stats) = run(false);
-            let (cloned, cloned_stats) = run(true);
-            assert_eq!(pooled, cloned, "{name}/s{seed}: Alg2 trajectories diverged");
-            assert_eq!(pooled_stats, cloned_stats, "{name}/s{seed}: stats diverged");
-        }
-    }
+    assert_identical_across_fanouts("alg2", 4, (5, 200.0), alg2_programs, |p| {
+        (alg2_words(p), p.records().to_vec())
+    });
 }
 
 #[test]
 fn alg3_behaviour_identical_across_fanout_modes() {
-    let n = 5;
     let f = 2;
-    let params = BoundParams::new(n, 1.0, 2.0);
-    for (name, _) in schedule_zoo(n) {
-        for seed in 0..5 {
-            let run = |clone_fanout: bool| {
-                let schedule = schedule_zoo(n)
-                    .into_iter()
-                    .find(|(s, _)| *s == name)
-                    .unwrap()
-                    .1;
-                let programs: Vec<Alg3Program<OneThirdRule>> = (0..n)
-                    .map(|p| {
-                        Alg3Program::new(
-                            OneThirdRule::new(n),
-                            ProcessId::new(p),
-                            p as u64 % 3,
-                            f,
-                            params.alg3_timeout(),
-                        )
-                    })
-                    .collect();
-                let mut sim = Simulator::new(config(n, seed, clone_fanout), schedule, programs);
-                sim.run_for(TimePoint::new(200.0));
-                let per_process: Vec<_> = sim
-                    .programs()
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.round(),
-                            p.decision(),
-                            p.crash_count(),
-                            p.inits_sent(),
-                            p.records().to_vec(),
-                        )
-                    })
-                    .collect();
-                (per_process, sim.stats().clone())
-            };
-            let (pooled, pooled_stats) = run(false);
-            let (cloned, cloned_stats) = run(true);
-            assert_eq!(pooled, cloned, "{name}/s{seed}: Alg3 trajectories diverged");
-            assert_eq!(pooled_stats, cloned_stats, "{name}/s{seed}: stats diverged");
-        }
-    }
+    let programs = |n| alg3_programs(n, f);
+    assert_identical_across_fanouts("alg3", 5, (5, 200.0), programs, |p| {
+        (alg3_words(p), p.records().to_vec())
+    });
 }
 
 #[test]
 fn pooled_mode_shares_payload_allocations() {
-    // Sanity check that the two modes really differ where they should: in
-    // pooled mode the recipients of one broadcast alias one payload slot.
-    // (If this failed, the equivalence above would be proving "clone ==
-    // clone" — vacuous.)
+    // The recipients of one broadcast alias one pooled payload slot, and
+    // steady-state sends land in recycled slots.
     let n = 4;
     let params = BoundParams::new(n, 1.0, 2.0);
     let programs: Vec<Alg2Program<OneThirdRule>> = (0..n)
@@ -267,7 +185,7 @@ fn pooled_mode_shares_payload_allocations() {
         })
         .collect();
     let schedule = Schedule::always_good(ProcessSet::full(n), GoodKind::PiDown);
-    let mut sim = Simulator::new(config(n, 3, false), schedule, programs);
+    let mut sim = Simulator::new(jittered(n, 3), schedule, programs);
     sim.run_for(TimePoint::new(100.0));
     let stats = sim.message_stats();
     assert!(

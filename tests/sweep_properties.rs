@@ -202,7 +202,13 @@ fn sweep_confirms_o_n_payload_allocations() {
     for v in &report.verdicts {
         // Pure-broadcast algorithms: exactly n payloads per round.
         assert_eq!(v.payload_allocs, n as u64 * v.rounds_run, "{}", v.id());
-        // Full delivery: the legacy scheme would have cloned n² per round.
-        assert_eq!(v.legacy_clones, (n * n) as u64 * v.rounds_run, "{}", v.id());
+        // Full delivery: n² deliveries per round, each of which the
+        // per-destination scheme would have cloned.
+        assert_eq!(
+            v.delivered_messages,
+            (n * n) as u64 * v.rounds_run,
+            "{}",
+            v.id()
+        );
     }
 }

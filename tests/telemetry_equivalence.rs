@@ -10,9 +10,6 @@
 //! forensic ring, wall-clock time): decisions, rounds, violations,
 //! message accounting, predicate windows, log contents — everything the
 //! run computes — byte for byte.
-//!
-//! (Mirrors `tests/scheduler_equivalence.rs`, which proves the same
-//! non-interference property for the event-queue backends.)
 
 use heardof::harness::{
     AdversarySpec, AlgorithmSpec, ImplementationSpec, LinkFaultSpec, RsmSweep, RsmVerdict,
