@@ -1,7 +1,7 @@
 //! Ablations of the predicate-layer design choices.
 //!
 //! The paper fixes three design decisions without exploring alternatives;
-//! these experiments probe each one. Findings (see `EXPERIMENTS.md`):
+//! these experiments probe each one. Findings:
 //!
 //! * **Algorithm 2's timeout** `⌈2δ + (n+2)φ⌉` is load-bearing: at 0.5×
 //!   the achievement rate of `P_su` collapses (rounds end before the
@@ -16,8 +16,8 @@
 //!   worst-case defence. With the newest-first tie-break (see
 //!   `ho_sim::program::policy`) the simple highest-round-first policy
 //!   performs the same in randomized runs, including against 20×-fast
-//!   outsiders; what *does* starve progress is an oldest-first tie-break —
-//!   the reproduction bug documented in `DESIGN.md` §6.3.
+//!   outsiders; what *does* starve progress is an oldest-first tie-break
+//!   (see `highest_round_first`).
 
 use ho_core::algorithms::OneThirdRule;
 use ho_core::process::{ProcessId, ProcessSet};

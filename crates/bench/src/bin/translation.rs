@@ -1,4 +1,4 @@
-//! Experiment binary `translation` — prints the corresponding EXPERIMENTS.md table.
+//! Experiment binary `translation` — prints artifact T8 (Theorem 8, the `P_k → P_su` translation).
 
 fn main() {
     bench::experiments::translation_table(200).print();

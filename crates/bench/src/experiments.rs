@@ -1,6 +1,6 @@
-//! The experiment implementations behind the `EXPERIMENTS.md` tables.
+//! The experiment implementations behind the artifact tables.
 //!
-//! One function per experiment id (see `DESIGN.md` §3); each returns a
+//! One function per experiment id (the crate docs list them); each returns a
 //! [`Table`] that the corresponding binary prints. The criterion benches
 //! reuse the same entry points with reduced sweep sizes.
 
@@ -21,7 +21,7 @@ use ho_sim::{
     BadPeriodConfig, GoodKind, Period, PeriodKind, Schedule, SimConfig, Simulator, TimePoint,
 };
 
-use crate::table::{f1, f2, of1, Table};
+use crate::table::{f1, f2, Table};
 
 /// Aggregate of a seed sweep of one measurement configuration.
 #[derive(Clone, Copy, Debug)]
@@ -578,121 +578,6 @@ pub fn translation_table(trials: u64) -> Table {
             ]);
         }
     }
-    t
-}
-
-// ---------------------------------------------------------------------
-// A1 — failure detectors vs the HO model.
-
-/// A1: Chandra–Toueg vs Aguilera et al. vs the HO stack across fault
-/// scenarios: decisions, latency, messages, stable-storage writes.
-#[must_use]
-pub fn fd_comparison_table(seeds: u64) -> Table {
-    use ho_fd::harness::{run_aguilera, run_chandra_toueg, FdScenario};
-
-    let mut t = Table::new(
-        "Appendix A — FD baselines vs the HO model (n = 3)",
-        &[
-            "scenario",
-            "algorithm",
-            "decided",
-            "latency",
-            "msgs",
-            "stable-writes",
-        ],
-    );
-    let n = 3;
-    type ScenarioFactory = Box<dyn Fn(u64) -> FdScenario>;
-    let scenarios: Vec<(&str, ScenarioFactory)> = vec![
-        (
-            "failure-free",
-            Box::new(move |s| FdScenario::failure_free(n, s)),
-        ),
-        (
-            "one crash",
-            Box::new(move |s| FdScenario::one_crash(n, 0, s)),
-        ),
-        (
-            "crash-recovery",
-            Box::new(move |s| FdScenario::crash_recovery(n, 1, 0.4, 30.0, s)),
-        ),
-        ("loss 30%", Box::new(move |s| FdScenario::lossy(n, 0.3, s))),
-    ];
-    for (name, mk) in &scenarios {
-        let mut agg = |label: &str, run: &dyn Fn(&FdScenario) -> ho_fd::FdRunOutcome| {
-            let mut decided = 0usize;
-            let mut total = 0usize;
-            let mut lat = Vec::new();
-            let mut msgs = 0u64;
-            let mut writes = 0u64;
-            for seed in 0..seeds {
-                let sc = mk(seed);
-                let out = run(&sc);
-                decided += out.decided_count();
-                total += n;
-                if let Some(tm) = out.all_decided_at {
-                    lat.push(tm);
-                }
-                msgs += out.messages_sent;
-                writes += out.stable_writes;
-            }
-            let mean_lat = if lat.is_empty() {
-                None
-            } else {
-                Some(lat.iter().sum::<f64>() / lat.len() as f64)
-            };
-            t.row(vec![
-                (*name).to_owned(),
-                label.to_owned(),
-                format!("{decided}/{total}"),
-                of1(mean_lat),
-                (msgs / seeds).to_string(),
-                (writes / seeds).to_string(),
-            ]);
-        };
-        agg("CT (◇S, crash-stop)", &run_chandra_toueg);
-        agg("Aguilera (◇Su, cr-rec)", &run_aguilera);
-    }
-    // The HO side: OneThirdRule at the model level, identical code for
-    // crash-stop and crash-recovery (§3.3) — rounds to decide.
-    let mut ho_row = |scenario: &str, mk: &dyn Fn(u64) -> Box<dyn Adversary>| {
-        let mut decided = 0usize;
-        let mut total = 0usize;
-        let mut rounds = Vec::new();
-        for seed in 0..seeds {
-            let mut adv = mk(seed);
-            let mut exec = RoundExecutor::new(OneThirdRule::new(n), vec![10, 11, 12]);
-            if let Ok(r) = exec.run_until_decided_in(ProcessSet::from_indices(0..n), &mut adv, 200)
-            {
-                rounds.push(r.get() as f64);
-            }
-            decided += exec.decisions().iter().flatten().count();
-            total += n;
-        }
-        let mean = if rounds.is_empty() {
-            None
-        } else {
-            Some(rounds.iter().sum::<f64>() / rounds.len() as f64)
-        };
-        t.row(vec![
-            scenario.to_owned(),
-            "HO OTR (rounds)".to_owned(),
-            format!("{decided}/{total}"),
-            of1(mean),
-            "-".to_owned(),
-            "0".to_owned(),
-        ]);
-    };
-    ho_row("failure-free", &|_| {
-        Box::new(ho_core::adversary::FullDelivery)
-    });
-    ho_row("crash-recovery", &|_| {
-        Box::new(ho_core::adversary::CrashRecovery::new(
-            3,
-            &[(1, Round(2), Round(5))],
-        ))
-    });
-    ho_row("loss 30%", &|seed| Box::new(RandomLoss::new(0.3, seed)));
     t
 }
 

@@ -1,7 +1,7 @@
 //! # bench — the experiment harness
 //!
-//! One entry point per paper artifact (see `DESIGN.md` §3 and
-//! `EXPERIMENTS.md`):
+//! One entry point per paper artifact (how to run them: the README's
+//! *Building, testing, benching*):
 //!
 //! | id | artifact | binary | bench |
 //! |----|----------|--------|-------|
@@ -13,7 +13,6 @@
 //! | E7 | Theorem 7 | `thm7` | — |
 //! | E8 | §4.2.2(c) | `stack` | `full_stack` |
 //! | T8 | Theorem 8 | `translation` | — |
-//! | A1 | Appendix A | `fd_compare` | `fd_comparison` |
 //! | AB | design-choice ablations | `ablation` | — |
 //! | SW | scenario sweep baseline (`BENCH_sweep.json`) | `sweep` | — |
 

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the experiment binaries.
 //!
 //! The paper's "tables" are reproduced as aligned ASCII tables on stdout so
-//! the binaries' output can be diffed and pasted into `EXPERIMENTS.md`.
+//! the binaries' output can be diffed.
 
 /// A simple column-aligned table.
 #[derive(Clone, Debug)]
@@ -92,12 +92,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats an optional float with 1 decimal (`-` if absent).
-#[must_use]
-pub fn of1(x: Option<f64>) -> String {
-    x.map_or_else(|| "-".to_owned(), f1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +120,5 @@ mod tests {
     fn float_formatters() {
         assert_eq!(f1(1.25), "1.2");
         assert_eq!(f2(1.256), "1.26");
-        assert_eq!(of1(None), "-");
-        assert_eq!(of1(Some(3.0)), "3.0");
     }
 }

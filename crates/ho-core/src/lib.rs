@@ -41,7 +41,6 @@ pub mod predicate;
 pub mod process;
 pub mod round;
 pub mod send_plan;
-pub mod sequence;
 pub mod telemetry;
 pub mod trace;
 pub mod translation;
@@ -56,7 +55,6 @@ pub use pool::{PayloadPool, PayloadSlot, PooledPayload};
 pub use process::{ProcessId, ProcessSet, MAX_PROCESSES};
 pub use round::Round;
 pub use send_plan::{DeliveryStats, Outbox, PlanSlot, PlanSpares, SendPlan};
-pub use sequence::{ProposalSource, RepeatedConsensus};
 pub use telemetry::{
     Event, EventKind, FlightRecorder, Metrics, Phase, Telemetry, TelemetrySummary,
 };

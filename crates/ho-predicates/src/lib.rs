@@ -13,7 +13,7 @@
 //! * [`bounds`] — Theorems 3, 5, 6, 7, Corollary 4 and the §4.2.2(c)
 //!   full-stack bound as plain formulas.
 //! * [`record`] / [`measure`] — observability and the measurement harness
-//!   that produces the numbers in `EXPERIMENTS.md`.
+//!   behind the `bench` crate's theorem tables.
 //! * [`monitor`] — online predicate monitoring: streaming, failure-
 //!   frontier evaluators for kernel / space-uniform / `P2_otr` windows,
 //!   equivalent to the batch `find_*` searches but incremental, trace-free

@@ -11,8 +11,8 @@
 //!   [`HoAlgorithm`](ho_core::HoAlgorithm) lifted into a multi-slot log
 //!   algorithm with a configurable pipeline depth. One HO round advances
 //!   *every* live slot; slots decide out of order and apply in order;
-//!   decided-value adoption and bounded backfill replace the unbounded
-//!   prefix-shipping of the single-slot `RepeatedConsensus`.
+//!   replicas adopt decided values from peers' bundles, and a replica
+//!   that falls out of the window catches up by bounded backfill.
 //! * [`workload`] — client command generators (fixed-rate, bursty,
 //!   closed-loop, skewed-key) batching commands into slot proposals.
 //! * [`LogDriver`] — the service front end: run, inspect applied logs,

@@ -4,12 +4,11 @@
 //! [`MultiSlot`] turns any single-shot [`HoAlgorithm`] into a pipelined
 //! replicated-log algorithm — itself an `HoAlgorithm`, so the existing
 //! [`RoundExecutor`](ho_core::executor::RoundExecutor), its adversaries,
-//! scratch buffers and payload pools all drive it unchanged. Where
-//! `RepeatedConsensus` runs one slot at a time and ships the whole decided
-//! prefix in every message, `MultiSlot` keeps a **window** of `depth`
-//! slots in flight and every adversary-scheduled HO round advances *all*
-//! of them: one bundle message per process per round carries one entry per
-//! live slot.
+//! scratch buffers and payload pools all drive it unchanged. `MultiSlot`
+//! keeps a **window** of `depth` slots in flight (depth 1 is one slot at
+//! a time) and every adversary-scheduled HO round advances *all* of them:
+//! one bundle message per process per round carries one entry per live
+//! slot, so a message's size is bounded by the window, not by the log.
 //!
 //! ## The window
 //!
@@ -38,9 +37,9 @@
 //! receiver's window and are ignored. Replicas that fall more than
 //! `depth` slots behind are served by **backfill** instead: every bundle
 //! also carries a bounded run of applied values starting at the lowest
-//! `committed` floor the sender heard, letting an isolated replica
-//! re-join after the partition heals without the unbounded
-//! prefix-shipping of `RepeatedConsensus`.
+//! `committed` floor the sender heard (at most `RsmConfig::backfill`
+//! values), letting an isolated replica re-join after the partition heals
+//! while every bundle stays bounded in size.
 //!
 //! ## Allocation discipline and cost per round
 //!

@@ -2,17 +2,19 @@
 //! first sentence motivates ("consensus is related to replication and
 //! appears when implementing atomic broadcast…").
 //!
-//! Part 1: the single-slot construction. Five replicas order a stream of
-//! commands by running one OneThirdRule instance per log slot, one slot
-//! at a time. Transmission faults (here: 30% random loss, plus a replica
-//! isolated for a while) delay slots but can never fork the log.
+//! Part 1: one slot at a time. Five replicas order a stream of client
+//! commands through `ho-rsm`'s [`LogDriver`] at pipeline depth 1: one
+//! OneThirdRule instance per log slot, the next slot opening when the
+//! last one applies. Transmission faults (here: a replica isolated for a
+//! while, then 30% random loss) delay slots but can never fork the log,
+//! and the isolated replica catches up by backfill once it hears the
+//! others again.
 //!
-//! Part 2: the production shape — `ho-rsm`'s pipelined [`LogDriver`]
-//! drives a client workload end-to-end under a **crash-recovery**
-//! adversary: four slots in flight per round, batched proposals, decided
-//! slots applied in order, crashed replicas backfilled after recovery.
-//! The applied log is printed and checked for prefix agreement and
-//! exactly-once apply.
+//! Part 2: the production shape — the same driver keeps a client
+//! workload flowing end-to-end under a **crash-recovery** adversary: four
+//! slots in flight per round, batched proposals, decided slots applied in
+//! order, crashed replicas backfilled after recovery. The applied log is
+//! printed and checked for prefix agreement and exactly-once apply.
 //!
 //! ```sh
 //! cargo run --example replicated_log
@@ -20,29 +22,29 @@
 
 use heardof::core::adversary::{CrashRecovery, FullDelivery, RandomLoss, Scripted};
 use heardof::core::algorithms::OneThirdRule;
-use heardof::core::executor::RoundExecutor;
-use heardof::core::process::{ProcessId, ProcessSet};
+use heardof::core::process::ProcessSet;
 use heardof::core::round::Round;
-use heardof::core::sequence::RepeatedConsensus;
 use heardof::rsm::{decode_slot_value, LogDriver, RsmConfig, WorkloadSpec};
 
-/// "Client commands": replica p proposes command `100·slot + p` for each
-/// slot — think of it as each replica offering its own next request.
-fn proposals(p: ProcessId, slot: u64) -> u64 {
-    100 * slot + p.index() as u64
+fn print_lengths(service: &LogDriver<OneThirdRule>) {
+    for (p, log) in service.applied_logs().iter().enumerate() {
+        println!("  replica {p}: {} slots", log.len());
+    }
 }
 
 fn main() {
     let n = 5;
-    let alg = RepeatedConsensus::new(OneThirdRule::new(n), proposals as fn(ProcessId, u64) -> u64);
-    let mut exec = RoundExecutor::new(alg, (0..n as u64).collect());
+    let mut service = LogDriver::new(
+        OneThirdRule::new(n),
+        WorkloadSpec::FixedRate { per_round: 2 },
+        RsmConfig::with_depth(1),
+        7,
+    );
 
-    // Phase 1: healthy network, 10 rounds → 5 slots decided everywhere.
-    exec.run(&mut FullDelivery, 10).unwrap();
+    // Phase 1: healthy network, 10 rounds → 5 slots applied everywhere.
+    service.run(&mut FullDelivery, 10).unwrap();
     println!("after 10 healthy rounds:");
-    for (p, s) in exec.states().iter().enumerate() {
-        println!("  replica {p}: {} slots  {:?}", s.log().len(), s.log());
-    }
+    print_lengths(&service);
 
     // Phase 2: replica 4 partitioned away for 12 rounds; the quorum keeps
     // ordering commands. (Scripted is absolute-round-indexed: pad over the
@@ -52,38 +54,27 @@ fn main() {
     let full = ProcessSet::full(n);
     let mut script = vec![vec![full; n]; 10];
     script.extend(vec![vec![quorum, quorum, quorum, quorum, solo]; 12]);
-    let mut adv = Scripted::new(script);
-    exec.run(&mut adv, 12).unwrap();
+    service.run(&mut Scripted::new(script), 12).unwrap();
     println!("\nafter 12 rounds with replica 4 isolated:");
-    for (p, s) in exec.states().iter().enumerate() {
-        println!("  replica {p}: {} slots", s.log().len());
-    }
+    print_lengths(&service);
 
     // Phase 3: the partition heals under a lossy network; replica 4 catches
-    // up from the decided prefixes piggybacked on every message.
-    let mut adv = RandomLoss::new(0.3, 7);
-    exec.run(&mut adv, 30).unwrap();
+    // up from the applied values backfilled in every bundle.
+    service.run(&mut RandomLoss::new(0.3, 7), 30).unwrap();
     println!("\nafter healing + 30 rounds at 30% loss:");
-    let logs: Vec<_> = exec.states().iter().map(|s| s.log().to_vec()).collect();
-    for (p, log) in logs.iter().enumerate() {
-        println!("  replica {p}: {} slots", log.len());
-    }
+    print_lengths(&service);
 
-    // The invariant that makes this a replicated log: prefix consistency.
-    for a in &logs {
-        for b in &logs {
-            let common = a.len().min(b.len());
-            assert_eq!(&a[..common], &b[..common], "log fork!");
-        }
-    }
-    println!("\nprefix consistency verified across all replicas ✓");
+    // The invariants that make this a replicated log: prefix agreement and
+    // exactly-once apply.
+    let check = service.check();
+    assert!(
+        check.is_ok(),
+        "log invariant violated: {:?}",
+        check.violation
+    );
     println!(
-        "first slots: {:?} (slot k = smallest proposal 100k)",
-        &logs
-            .iter()
-            .map(|l| l.len())
-            .min()
-            .map(|m| &logs[0][..m.min(4)])
+        "\n{} slots, {} commands: prefix agreement + exactly-once verified ✓",
+        check.slots, check.commands
     );
 
     // ── Part 2: the pipelined log service under crash-recovery ──────────

@@ -15,9 +15,6 @@
 //!   (π0-down good periods), Algorithm 3 (π0-arbitrary good periods),
 //!   macro-round translation, and the closed-form good-period bounds of
 //!   Theorems 3, 5, 6 and 7.
-//! * [`fd`] — the failure-detector baselines from the paper's appendix:
-//!   Chandra–Toueg ◇S consensus (crash-stop) and Aguilera et al. ◇Su
-//!   consensus (crash-recovery).
 //! * [`rsm`] — the replicated-log service: repeated consensus pipelined
 //!   over the round runtime (multi-slot windows, client workloads, applied-
 //!   log checker) — the layer real systems consume consensus through.
@@ -42,7 +39,6 @@
 //! ```
 
 pub use ho_core as core;
-pub use ho_fd as fd;
 pub use ho_harness as harness;
 pub use ho_predicates as predicates;
 pub use ho_rsm as rsm;

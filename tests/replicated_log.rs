@@ -1,27 +1,37 @@
-//! Property tests for `RepeatedConsensus`: the replicated-log invariants
-//! hold under arbitrary transmission-fault patterns.
+//! Property tests for the replicated log at pipeline depth 1: one
+//! `MultiSlot<OneThirdRule>` slot in flight, driven directly by the round
+//! executor. The log invariants hold under arbitrary transmission-fault
+//! patterns.
 //!
-//! * **Prefix consistency** (no forks): any two replicas' decided logs
+//! * **Prefix consistency** (no forks): any two replicas' applied logs
 //!   agree on their common prefix — the atomic-broadcast safety property.
-//! * **Slot integrity**: slot `k`'s decided value is one of the slot-`k`
-//!   proposals.
+//! * **Slot integrity**: every applied slot is a well-formed batch of
+//!   some replica's commands, and no command is applied twice
+//!   ([`check_logs`]).
 //! * **Monotonicity**: a replica's log only grows.
 
 use heardof::core::adversary::{FullDelivery, Scripted};
 use heardof::core::algorithms::OneThirdRule;
 use heardof::core::executor::RoundExecutor;
-use heardof::core::process::{ProcessId, ProcessSet};
-use heardof::core::sequence::RepeatedConsensus;
+use heardof::core::process::ProcessSet;
+use heardof::rsm::{check_logs, MultiSlot, RsmConfig, WorkloadSpec};
 use proptest::prelude::*;
 
 type Log = Vec<u64>;
 
-fn proposals(p: ProcessId, slot: u64) -> u64 {
-    100 * slot + p.index() as u64
+fn make(n: usize) -> RoundExecutor<MultiSlot<OneThirdRule>> {
+    let alg = MultiSlot::new(
+        OneThirdRule::new(n),
+        WorkloadSpec::FixedRate { per_round: 2 },
+        RsmConfig::with_depth(1),
+        42,
+    );
+    let initial = alg.initial_checker_values();
+    RoundExecutor::new(alg, initial)
 }
 
-fn make(n: usize) -> RepeatedConsensus<OneThirdRule, fn(ProcessId, u64) -> u64> {
-    RepeatedConsensus::new(OneThirdRule::new(n), proposals as fn(ProcessId, u64) -> u64)
+fn logs(exec: &RoundExecutor<MultiSlot<OneThirdRule>>) -> Vec<Log> {
+    exec.states().iter().map(|s| s.applied().to_vec()).collect()
 }
 
 fn arb_script(n: usize, rounds: usize) -> impl Strategy<Value = Vec<Vec<ProcessSet>>> {
@@ -58,30 +68,26 @@ proptest! {
     fn logs_never_fork(script in arb_script(4, 24)) {
         let n = 4;
         let rounds = script.len() as u64;
-        let mut exec = RoundExecutor::new(make(n), (0..n as u64).collect());
+        let mut exec = make(n);
         let mut adv = Scripted::new(script);
         exec.run(&mut adv, rounds).expect("no safety violation");
-        let logs: Vec<Log> = exec.states().iter().map(|s| s.log().to_vec()).collect();
+        let logs = logs(&exec);
         prop_assert!(prefix_consistent(&logs), "fork: {logs:?}");
     }
 
-    /// Slot k's decision is one of the slot-k proposals (integrity per slot).
+    /// Every applied slot is a well-formed batch, applied exactly once.
     #[test]
     fn slot_integrity(script in arb_script(4, 24)) {
         let n = 4;
         let rounds = script.len() as u64;
-        let mut exec = RoundExecutor::new(make(n), (0..n as u64).collect());
+        let mut exec = make(n);
         let mut adv = Scripted::new(script);
         exec.run(&mut adv, rounds).expect("no safety violation");
-        for s in exec.states() {
-            for (k, v) in s.log().iter().enumerate() {
-                let k = k as u64;
-                prop_assert!(
-                    (100 * k..100 * k + n as u64).contains(v),
-                    "slot {k} decided {v}"
-                );
-            }
-        }
+        let logs = logs(&exec);
+        let refs: Vec<&[u64]> = logs.iter().map(Vec::as_slice).collect();
+        let max_batch = exec.algorithm().config().max_batch as u64;
+        let check = check_logs(&refs, n, max_batch);
+        prop_assert!(check.is_ok(), "{:?}", check.violation);
     }
 
     /// Logs are monotone: chaos then healing only extends them.
@@ -89,12 +95,12 @@ proptest! {
     fn logs_grow_monotonically(script in arb_script(4, 16)) {
         let n = 4;
         let rounds = script.len() as u64;
-        let mut exec = RoundExecutor::new(make(n), (0..n as u64).collect());
+        let mut exec = make(n);
         let mut adv = Scripted::new(script);
         exec.run(&mut adv, rounds).expect("no violation");
-        let before: Vec<Log> = exec.states().iter().map(|s| s.log().to_vec()).collect();
+        let before = logs(&exec);
         exec.run(&mut FullDelivery, 4).expect("no violation");
-        let after: Vec<Log> = exec.states().iter().map(|s| s.log().to_vec()).collect();
+        let after = logs(&exec);
         for (b, a) in before.iter().zip(&after) {
             prop_assert!(a.len() >= b.len());
             prop_assert_eq!(&a[..b.len()], &b[..]);
@@ -105,9 +111,9 @@ proptest! {
 #[test]
 fn healthy_network_sustains_one_slot_per_two_rounds() {
     let n = 4;
-    let mut exec = RoundExecutor::new(make(n), (0..n as u64).collect());
+    let mut exec = make(n);
     exec.run(&mut FullDelivery, 40).unwrap();
     for s in exec.states() {
-        assert_eq!(s.log().len(), 20, "OneThirdRule decides every 2 rounds");
+        assert_eq!(s.applied().len(), 20, "OneThirdRule decides every 2 rounds");
     }
 }
