@@ -1,8 +1,7 @@
 //! The experiment implementations behind the artifact tables.
 //!
 //! One function per experiment id (the crate docs list them); each returns a
-//! [`Table`] that the corresponding binary prints. The criterion benches
-//! reuse the same entry points with reduced sweep sizes.
+//! [`Table`] that the corresponding binary prints.
 
 use ho_core::adversary::{Adversary, EventuallyGood, RandomLoss};
 use ho_core::algorithms::OneThirdRule;

@@ -216,8 +216,8 @@ impl ContactPlan {
 
     /// Counts dark process-rounds over `1..=rounds`: pairs `(p, r)` in
     /// which `p`'s only contact is itself (it hears nobody and nobody
-    /// hears it) — the graceful-degradation denominator reported per
-    /// plan in `BENCH_sweep.json`.
+    /// hears it) — the graceful-degradation denominator summed into
+    /// the `contact` line of `sweep --check`.
     #[must_use]
     pub fn dark_rounds(&self, seed: u64, n: usize, rounds: u64) -> u64 {
         let mut dark = 0;

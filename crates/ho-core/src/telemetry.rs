@@ -16,8 +16,8 @@
 //!   and per-[`Phase`] log2-bucket latency histograms fed by scoped span
 //!   timers ([`Telemetry::clock`] / [`Telemetry::span`]), giving the
 //!   per-phase time breakdown (HO-set fill / send / delivery / predicate
-//!   monitoring / oracle) behind the `telemetry` section of
-//!   `BENCH_sweep.json`.
+//!   monitoring / oracle) behind the `telemetry` object of every
+//!   `sweep --scenario` document.
 //!
 //! Everything is preallocated at [`Telemetry::on`]; recording in steady
 //! state performs **zero** heap allocations (proved alongside the round

@@ -1,7 +1,7 @@
 //! A minimal JSON document model and serializer.
 //!
-//! The sweep report is consumed by `crates/bench` and committed as
-//! `BENCH_sweep.json`; this module provides just enough JSON to write it
+//! `crates/bench`'s `sweep --scenario` prints verdicts and forensic
+//! artifacts as JSON; this module provides just enough JSON to write them
 //! without an external serializer (the build environment vendors no
 //! crates). Integers are kept exact — no `f64` round-trip for counters.
 

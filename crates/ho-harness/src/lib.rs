@@ -3,12 +3,12 @@
 //! Executes thousands of (algorithm × adversary × size × seed) consensus
 //! scenarios concurrently on the round-synchronous machine, collecting
 //! per-scenario verdicts — decided round, safety violations, message-cost
-//! accounting — into an aggregated, JSON-serializable [`SweepReport`].
+//! accounting — into an aggregated [`SweepReport`].
 //!
 //! The sweep rides on the [`SendPlan`](ho_core::SendPlan) kernel: every
 //! scenario records the kernel's payload allocations (`O(n)` per
-//! broadcast round) next to its deliveries (`O(n²)`), so
-//! `BENCH_sweep.json` tracks both release over release.
+//! broadcast round) next to its deliveries (`O(n²)`), and
+//! `tests/sweep_properties.rs` checks that ratio across the grid.
 //!
 //! ```
 //! use ho_harness::{AdversarySpec, AlgorithmSpec, Sweep};
@@ -45,9 +45,9 @@ pub use par::{
     ChunkPolicy,
 };
 pub use report::{
-    chunk_policy_json, forensic_artifact_json, predicate_totals_json, repro_command,
-    rsm_report_json, rsm_verdict_json, sim_report_json, sim_verdict_json, telemetry_event_json,
-    telemetry_summary_json, verdict_json, JsonFields, MessageTotals, PredicateTotals, SweepReport,
+    forensic_artifact_json, repro_command, rsm_verdict_json, sim_verdict_json,
+    telemetry_event_json, telemetry_summary_json, verdict_json, JsonFields, MessageTotals,
+    PredicateTotals, SweepReport,
 };
 pub use rsm::{RsmCell, RsmCellKey, RsmReport, RsmScenario, RsmSweep, RsmTotals, RsmVerdict};
 pub use scenario::{AdversarySpec, AlgorithmSpec, Scenario, ScenarioScratch, Verdict};

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// that re-measure actionable: rerun the sweep with `HO_SWEEP_CHUNK_TARGET`
 /// / `HO_SWEEP_CHUNK_MAX` overrides and diff the recorded throughput, no
 /// rebuild needed. The chosen parameters are recorded in every
-/// [`SweepReport`](crate::SweepReport) and in `BENCH_sweep.json`.
+/// [`SweepReport`](crate::SweepReport), `SimReport` and `RsmReport`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkPolicy {
     /// Aim for this many chunk claims per worker: few enough that the

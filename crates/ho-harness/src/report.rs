@@ -1,6 +1,5 @@
-//! Aggregated sweep results and their JSON form.
+//! Aggregated sweep results and the JSON form of single verdicts.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use ho_core::telemetry::{Event, EventKind, Phase, TelemetrySummary};
@@ -131,20 +130,6 @@ pub struct PredicateTotals {
 }
 
 impl PredicateTotals {
-    /// Folds another report's totals into this one (used when a grid is
-    /// split across several sweeps).
-    pub fn merge(&mut self, other: &PredicateTotals) {
-        self.monitored += other.monitored;
-        self.rounds += other.rounds;
-        self.nek_rounds += other.nek_rounds;
-        self.empty_kernel_scenarios += other.empty_kernel_scenarios;
-        self.p2otr_scenarios += other.p2otr_scenarios;
-        self.largest_kernel_window = self.largest_kernel_window.max(other.largest_kernel_window);
-        self.largest_uniform_window = self
-            .largest_uniform_window
-            .max(other.largest_uniform_window);
-    }
-
     fn absorb(&mut self, s: &PredicateSummary) {
         self.monitored += 1;
         self.rounds += s.rounds;
@@ -232,93 +217,6 @@ impl SweepReport {
     #[must_use]
     pub fn violating(&self) -> Vec<&Verdict> {
         self.verdicts.iter().filter(|v| !v.is_safe()).collect()
-    }
-
-    /// Per-(algorithm, adversary) decided/violation counts — the table the
-    /// sweep exists to produce.
-    #[must_use]
-    pub fn by_cell(&self) -> BTreeMap<(String, String), (usize, usize, usize)> {
-        let mut cells: BTreeMap<(String, String), (usize, usize, usize)> = BTreeMap::new();
-        for v in &self.verdicts {
-            let cell = cells
-                .entry((v.algorithm.to_owned(), v.adversary.clone()))
-                .or_default();
-            cell.0 += 1;
-            if v.all_decided() {
-                cell.1 += 1;
-            }
-            if !v.is_safe() {
-                cell.2 += 1;
-            }
-        }
-        cells
-    }
-
-    /// The JSON document `crates/bench` writes as `BENCH_sweep.json`.
-    ///
-    /// `include_verdicts` controls whether the full per-scenario list is
-    /// embedded (large) or only the aggregates and the per-cell table.
-    #[must_use]
-    pub fn to_json(&self, include_verdicts: bool) -> Json {
-        // Per-cell recorder drop counts (telemetry-on sweeps only): ring
-        // wrap is visible truncation and must surface next to the cell it
-        // truncated.
-        let mut dropped_by_cell: BTreeMap<(String, String), u64> = BTreeMap::new();
-        for v in &self.verdicts {
-            if let Some(t) = &v.telemetry {
-                *dropped_by_cell
-                    .entry((v.algorithm.to_owned(), v.adversary.clone()))
-                    .or_default() += t.events_dropped;
-            }
-        }
-        let cells: Vec<Json> = self
-            .by_cell()
-            .into_iter()
-            .map(|((alg, adv), (total, decided, violations))| {
-                let dropped = dropped_by_cell.get(&(alg.clone(), adv.clone())).copied();
-                JsonFields::new()
-                    .str("algorithm", alg)
-                    .str("adversary", adv)
-                    .uint("scenarios", total as u64)
-                    .uint("decided", decided as u64)
-                    .uint("violations", violations as u64)
-                    .opt_uint("events_dropped", dropped)
-                    .build()
-            })
-            .collect();
-        let mut fields = vec![
-            ("scenarios", Json::UInt(self.scenarios as u64)),
-            ("decided", Json::UInt(self.decided as u64)),
-            ("violations", Json::UInt(self.violations as u64)),
-            ("wall_seconds", Json::Float(self.wall_seconds)),
-            ("scenarios_per_sec", Json::Float(self.scenarios_per_sec)),
-            ("threads", Json::UInt(self.threads as u64)),
-            ("chunk", chunk_policy_json(&self.chunk)),
-            (
-                "messages",
-                Json::obj([
-                    ("payload_allocs", Json::UInt(self.totals.payload_allocs)),
-                    ("payload_reuses", Json::UInt(self.totals.payload_reuses)),
-                    ("fresh_allocs", Json::UInt(self.totals.fresh_allocs())),
-                    ("delivered", Json::UInt(self.totals.delivered)),
-                    ("rounds", Json::UInt(self.totals.rounds)),
-                ]),
-            ),
-            ("cells", Json::Arr(cells)),
-        ];
-        if self.predicate_totals.monitored > 0 {
-            fields.push(("predicates", predicate_totals_json(&self.predicate_totals)));
-        }
-        if let Some(t) = &self.telemetry_totals {
-            fields.push(("telemetry", telemetry_summary_json(t)));
-        }
-        if include_verdicts {
-            fields.push((
-                "verdicts",
-                Json::Arr(self.verdicts.iter().map(verdict_json).collect()),
-            ));
-        }
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 }
 
@@ -423,55 +321,6 @@ pub fn forensic_artifact_json(
         .build()
 }
 
-/// The JSON form of a sim-layer sweep ([`SimReport`](crate::SimReport)) —
-/// the `sim_layer` section of `BENCH_sweep.json`.
-///
-/// `include_verdicts` controls whether the full per-scenario list is
-/// embedded or only the aggregates.
-#[must_use]
-pub fn sim_report_json(report: &crate::sim::SimReport, include_verdicts: bool) -> Json {
-    let mut fields = vec![
-        ("scenarios", Json::UInt(report.scenarios as u64)),
-        ("achieved", Json::UInt(report.achieved as u64)),
-        ("violations", Json::UInt(report.violations as u64)),
-        ("wall_seconds", Json::Float(report.wall_seconds)),
-        ("scenarios_per_sec", Json::Float(report.scenarios_per_sec)),
-        ("events_dispatched", Json::UInt(report.events_dispatched)),
-        ("peak_queue_depth", Json::UInt(report.peak_queue_depth)),
-        ("events_per_sec", Json::Float(report.events_per_sec)),
-        ("threads", Json::UInt(report.threads as u64)),
-        ("chunk", chunk_policy_json(&report.chunk)),
-        (
-            "delivery",
-            Json::obj([
-                ("transmissions", Json::UInt(report.transmissions)),
-                ("delivered", Json::UInt(report.totals.delivered)),
-                ("dropped", Json::UInt(report.dropped)),
-                ("crashes", Json::UInt(report.crashes)),
-            ]),
-        ),
-        (
-            "messages",
-            Json::obj([
-                ("payload_allocs", Json::UInt(report.totals.payload_allocs)),
-                ("payload_reuses", Json::UInt(report.totals.payload_reuses)),
-                ("fresh_allocs", Json::UInt(report.totals.fresh_allocs())),
-                ("rounds", Json::UInt(report.totals.rounds)),
-            ]),
-        ),
-    ];
-    if let Some(t) = merge_telemetry(report.verdicts.iter().map(|v| v.telemetry.as_ref())) {
-        fields.push(("telemetry", telemetry_summary_json(&t)));
-    }
-    if include_verdicts {
-        fields.push((
-            "verdicts",
-            Json::Arr(report.verdicts.iter().map(sim_verdict_json).collect()),
-        ));
-    }
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
 /// The JSON form of one sim-layer verdict.
 #[must_use]
 pub fn sim_verdict_json(v: &crate::sim::SimVerdict) -> Json {
@@ -496,15 +345,6 @@ pub fn sim_verdict_json(v: &crate::sim::SimVerdict) -> Json {
         fields = fields.field("telemetry", telemetry_summary_json(t));
     }
     fields.build()
-}
-
-/// The JSON form of the work-stealing [`ChunkPolicy`] a sweep ran under.
-#[must_use]
-pub fn chunk_policy_json(policy: &ChunkPolicy) -> Json {
-    JsonFields::new()
-        .uint("target_claims", policy.target_claims as u64)
-        .uint("max_chunk", policy.max_chunk as u64)
-        .build()
 }
 
 /// The JSON form of one model-layer verdict.
@@ -540,101 +380,6 @@ pub fn predicate_summary_json(s: &PredicateSummary) -> Json {
         .uint("largest_uniform_window", s.largest_uniform_window)
         .opt_uint("first_p2otr", s.first_p2otr)
         .build()
-}
-
-/// The JSON form of grid-wide [`PredicateTotals`] — shared with
-/// `crates/bench`, which extends it with throughput fields, so the two
-/// documents cannot drift.
-#[must_use]
-pub fn predicate_totals_json(t: &PredicateTotals) -> Json {
-    JsonFields::new()
-        .uint("monitored_scenarios", t.monitored as u64)
-        .uint("rounds", t.rounds)
-        .uint("nek_rounds", t.nek_rounds)
-        .uint("empty_kernel_scenarios", t.empty_kernel_scenarios as u64)
-        .uint("p2otr_scenarios", t.p2otr_scenarios as u64)
-        .uint("largest_kernel_window", t.largest_kernel_window)
-        .uint("largest_uniform_window", t.largest_uniform_window)
-        .build()
-}
-
-/// The JSON form of an rsm-layer sweep ([`RsmReport`](crate::RsmReport)) —
-/// the `rsm_layer` section of `BENCH_sweep.json`.
-///
-/// `include_verdicts` controls whether the full per-scenario list is
-/// embedded or only the aggregates and the per-cell table.
-#[must_use]
-pub fn rsm_report_json(report: &crate::rsm::RsmReport, include_verdicts: bool) -> Json {
-    let cells: Vec<Json> = report
-        .by_cell()
-        .into_iter()
-        .map(
-            |((algorithm, adversary, depth, shards, workload, lease), cell)| {
-                JsonFields::new()
-                    .str("algorithm", algorithm)
-                    .str("adversary", adversary)
-                    .uint("depth", depth as u64)
-                    .uint("shards", shards as u64)
-                    .str("workload", workload)
-                    .bool("lease", lease)
-                    .uint("scenarios", cell.scenarios as u64)
-                    .uint("violations", cell.violations as u64)
-                    .uint("slots", cell.slots)
-                    .uint("commands", cell.commands)
-                    .uint("generated_commands", cell.generated)
-                    .uint("requeued_commands", cell.requeued)
-                    .uint("noop_slots", cell.noop_slots)
-                    .uint("lease_takeovers", cell.lease_takeovers)
-                    .uint("deferred_commands", cell.deferred_commands)
-                    .opt_float("requeue_ratio", cell.requeue_ratio())
-                    .float("rounds_per_slot", cell.rounds_per_slot())
-                    .float("commands_per_sec", cell.commands_per_sec())
-                    .uint("worst_p99_latency_rounds", cell.worst_p99_latency)
-                    .uint("backfill_entries", cell.backfill_entries)
-                    .uint("divergent_rounds", cell.divergent_rounds)
-                    .uint("dark_rounds", cell.dark_rounds)
-                    .uint("worst_catch_up_rounds", cell.worst_catch_up)
-                    .uint("events_dropped", cell.events_dropped)
-                    .build()
-            },
-        )
-        .collect();
-    let mut fields = JsonFields::new()
-        .uint("scenarios", report.scenarios as u64)
-        .uint("violations", report.violations as u64)
-        .float("wall_seconds", report.wall_seconds)
-        .float("scenarios_per_sec", report.scenarios_per_sec)
-        .float("commands_per_sec", report.commands_per_sec)
-        .uint("threads", report.threads as u64)
-        .field("chunk", chunk_policy_json(&report.chunk))
-        .field(
-            "service",
-            JsonFields::new()
-                .uint("rounds", report.totals.rounds)
-                .uint("slots", report.totals.slots)
-                .uint("commands", report.totals.commands)
-                .uint("generated_commands", report.totals.generated)
-                .uint("requeued_commands", report.totals.requeued)
-                .opt_float(
-                    "requeue_ratio",
-                    (report.totals.commands != 0)
-                        .then(|| report.totals.requeued as f64 / report.totals.commands as f64),
-                )
-                .float("rounds_per_slot", report.rounds_per_slot())
-                .uint("worst_p99_latency_rounds", report.totals.worst_p99_latency)
-                .build(),
-        )
-        .field("cells", Json::Arr(cells));
-    if let Some(t) = merge_telemetry(report.verdicts.iter().map(|v| v.telemetry.as_ref())) {
-        fields = fields.field("telemetry", telemetry_summary_json(&t));
-    }
-    if include_verdicts {
-        fields = fields.field(
-            "verdicts",
-            Json::Arr(report.verdicts.iter().map(rsm_verdict_json).collect()),
-        );
-    }
-    fields.build()
 }
 
 /// The JSON form of one rsm-layer verdict.
@@ -675,60 +420,4 @@ pub fn rsm_verdict_json(v: &crate::rsm::RsmVerdict) -> Json {
         fields = fields.field("telemetry", telemetry_summary_json(t));
     }
     fields.build()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scenario::{AdversarySpec, AlgorithmSpec, Scenario};
-
-    fn verdicts(k: usize) -> Vec<Verdict> {
-        (0..k)
-            .map(|i| {
-                Scenario {
-                    algorithm: AlgorithmSpec::OneThirdRule,
-                    adversary: AdversarySpec::FullDelivery,
-                    n: 4,
-                    seed: i as u64,
-                    max_rounds: 20,
-                    cooldown_rounds: 0,
-                    monitor_predicates: false,
-                    telemetry: false,
-                }
-                .run()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn json_shape() {
-        let report = SweepReport::aggregate(
-            verdicts(3),
-            Duration::from_millis(5),
-            2,
-            ChunkPolicy::default(),
-        );
-        let json = report.to_json(true).pretty();
-        assert!(json.contains("\"scenarios\": 3"));
-        assert!(json.contains("\"cells\""));
-        assert!(json.contains("\"verdicts\""));
-        assert!(json.contains("one_third_rule/full_delivery"));
-        let without = report.to_json(false).pretty();
-        assert!(!without.contains("\"verdicts\""));
-    }
-
-    #[test]
-    fn by_cell_counts() {
-        let report = SweepReport::aggregate(
-            verdicts(4),
-            Duration::from_millis(1),
-            1,
-            ChunkPolicy::default(),
-        );
-        let cells = report.by_cell();
-        let cell = cells
-            .get(&("one_third_rule".to_owned(), "full_delivery".to_owned()))
-            .unwrap();
-        assert_eq!(*cell, (4, 4, 0));
-    }
 }

@@ -12,7 +12,7 @@
 //! Both layers ride the same [`SendPlan`](ho_core::SendPlan) kernel and
 //! pooled-payload runtime, and both report the same
 //! [`MessageStats`](ho_core::MessageStats) accounting, so a grid's results
-//! aggregate uniformly into `BENCH_sweep.json`'s `sim_layer` section.
+//! aggregate uniformly into one [`SimReport`].
 
 use std::time::Instant;
 
@@ -542,8 +542,8 @@ impl SimSweep {
     }
 }
 
-/// The aggregated outcome of a [`SimSweep`] run — what `BENCH_sweep.json`
-/// serializes as its `sim_layer` section.
+/// The aggregated outcome of a [`SimSweep`] run — what `sweep --check`
+/// gates as its `sim` section.
 #[derive(Clone, Debug)]
 pub struct SimReport {
     /// Per-scenario verdicts, in grid order.

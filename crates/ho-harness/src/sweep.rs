@@ -246,18 +246,20 @@ mod tests {
             "every executed round is observed"
         );
         assert!(report.predicate_totals.p2otr_scenarios > 0);
-        // The predicate fields survive the JSON round trip.
-        let json = report.to_json(true).pretty();
+        // The predicate fields survive the verdict's JSON round trip.
+        let json = crate::verdict_json(&report.verdicts[0]).pretty();
         let parsed = crate::Json::parse(&json).expect("round-trips");
         let crate::Json::Obj(map) = parsed else {
             panic!("object expected")
         };
         assert!(map.contains_key("predicates"));
         assert!(json.contains("first_p2otr"));
-        // Unmonitored sweeps carry no predicate section.
+        // Unmonitored sweeps carry no predicate fields.
         let plain = Sweep::new().seeds(0..2).run();
         assert_eq!(plain.predicate_totals.monitored, 0);
-        assert!(!plain.to_json(true).pretty().contains("\"predicates\""));
+        assert!(!crate::verdict_json(&plain.verdicts[0])
+            .pretty()
+            .contains("\"predicates\""));
     }
 
     #[test]

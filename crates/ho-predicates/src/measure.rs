@@ -146,8 +146,8 @@ impl Measurement {
 }
 
 /// A [`Measurement`] together with the run's execution statistics: the
-/// detailed form the sim-layer sweep aggregates into `BENCH_sweep.json`'s
-/// `sim_layer` section. Message accounting is the same [`MessageStats`]
+/// detailed form the sim-layer sweep (`ho-harness`) aggregates into its
+/// `SimReport`. Message accounting is the same [`MessageStats`]
 /// struct the round-synchronous executor reports, so both layers aggregate
 /// uniformly.
 #[derive(Clone, Debug)]
