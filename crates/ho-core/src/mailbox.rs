@@ -7,11 +7,12 @@
 //!
 //! Three representation choices serve the hot paths:
 //!
-//! * **Shared payloads** — an entry holds either an owned message or a
-//!   reference-counted one ([`Mailbox::push_shared`]). Broadcast rounds
-//!   deliver one `Arc` per recipient instead of one deep clone per
-//!   recipient, which is what makes the [`SendPlan`](crate::send_plan)
-//!   kernel `O(n)` in payload allocations per round.
+//! * **Two payload paths** — an explicit entry holds either an owned
+//!   message (unicast delivery and test construction, [`Mailbox::push`])
+//!   or a generation-stamped pool handle ([`Mailbox::push_pooled`]),
+//!   through which the simulator hands received payloads to the
+//!   transition function without a deep clone. Broadcasts on the round
+//!   executor store no entry at all (next bullet).
 //! * **The round table** — the executor's delivery path attaches *one*
 //!   reference-counted table of the whole round's plans per mailbox and
 //!   records the broadcast senders as a bitset. A broadcast round then
@@ -50,9 +51,8 @@ impl fmt::Display for DuplicateSender {
 
 impl std::error::Error for DuplicateSender {}
 
-/// An explicitly stored message payload: owned (unicast and test
-/// construction), shared (broadcast delivery through
-/// [`Mailbox::push_shared`]), or a generation-stamped pool handle
+/// An explicitly stored message payload: owned (unicast delivery and test
+/// construction) or a generation-stamped pool handle
 /// ([`Mailbox::push_pooled`] — how the simulator's Algorithms 2/3 hand
 /// payloads they held across rounds to the transition function without a
 /// deep clone). Table-delivered broadcasts store no payload at all — only
@@ -60,7 +60,6 @@ impl std::error::Error for DuplicateSender {}
 #[derive(Clone, Debug)]
 enum Payload<M> {
     Owned(M),
-    Shared(Arc<M>),
     Pooled(PooledPayload<M>),
 }
 
@@ -68,7 +67,6 @@ impl<M> Payload<M> {
     fn get(&self) -> &M {
         match self {
             Payload::Owned(m) => m,
-            Payload::Shared(m) => m,
             Payload::Pooled(m) => m,
         }
     }
@@ -81,7 +79,7 @@ impl<M> Payload<M> {
 /// occurrences of a value, finding the smallest received value, quorum tests
 /// — is provided here so that algorithm code reads like the pseudo-code.
 ///
-/// Messages arrive either as explicit entries (owned or `Arc`-shared) or
+/// Messages arrive either as explicit entries (owned or pool handles) or
 /// through the *round table*: a shared vector of the round's send plans,
 /// with the table-delivered senders recorded as a bitset. Iteration order
 /// is arrival order for explicit entries; when both representations are
@@ -327,21 +325,6 @@ impl<M> Mailbox<M> {
         Ok(())
     }
 
-    /// Adds a shared message from `sender`, rejecting duplicates
-    /// (see [`Mailbox::push_shared`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DuplicateSender`] if a message from `sender` is already
-    /// present.
-    pub fn try_push_shared(
-        &mut self,
-        sender: ProcessId,
-        message: Arc<M>,
-    ) -> Result<(), DuplicateSender> {
-        self.try_push_payload(sender, Payload::Shared(message))
-    }
-
     /// Adds an owned message from `sender`.
     ///
     /// This is the pseudo-code-fidelity entry point: like the paper's
@@ -353,19 +336,6 @@ impl<M> Mailbox<M> {
     /// Panics if a message from `sender` is already present.
     pub fn push(&mut self, sender: ProcessId, message: M) {
         if let Err(e) = self.try_push(sender, message) {
-            panic!("{e}");
-        }
-    }
-
-    /// Adds a shared message from `sender` — how broadcast plans deliver:
-    /// every recipient's mailbox holds the same reference-counted payload,
-    /// so a broadcast costs one allocation regardless of fan-out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a message from `sender` is already present.
-    pub fn push_shared(&mut self, sender: ProcessId, message: Arc<M>) {
-        if let Err(e) = self.try_push_shared(sender, message) {
             panic!("{e}");
         }
     }
@@ -425,16 +395,16 @@ impl<M> Mailbox<M> {
     /// Callers guarantee that every sender in `senders` has a broadcast
     /// plan in `table` and does not collide with explicit entries (debug
     /// asserted). A mailbox fed from *two different* outboxes cannot share
-    /// both tables; the second delivery falls back to per-entry shared
+    /// both tables; the second delivery falls back to per-entry pooled
     /// pushes (correct, just not O(1)).
     pub(crate) fn deliver_table(&mut self, table: Arc<Vec<SendPlan<M>>>, senders: ProcessSet) {
         if let Some(bound) = &self.table {
             if !Arc::ptr_eq(bound, &table) {
                 // Cold path: a second outbox delivering into the same
                 // mailbox within one round. Materialise these broadcasts
-                // as ordinary shared entries instead of rebinding (which
+                // as ordinary pooled entries instead of rebinding (which
                 // would resolve the earlier senders against the wrong
-                // plans). `push_shared` keeps the duplicate-sender panic.
+                // plans). `push_pooled` keeps the duplicate-sender panic.
                 for q in senders.iter() {
                     match &table[q.index()] {
                         SendPlan::Broadcast(m) => self.push_pooled(q, m.clone()),
@@ -803,27 +773,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate sender")]
-    fn duplicate_shared_sender_rejected() {
-        let mut mb = Mailbox::empty();
-        mb.push_shared(p(0), Arc::new(1u32));
-        mb.push_shared(p(0), Arc::new(2u32));
-    }
-
-    #[test]
-    fn shared_and_owned_entries_mix() {
-        let mut mb = Mailbox::empty();
-        let shared = Arc::new(7u32);
-        mb.push_shared(p(1), Arc::clone(&shared));
-        mb.push(p(0), 9);
-        assert_eq!(mb.from(p(1)), Some(&7));
-        assert_eq!(mb.from(p(0)), Some(&9));
-        assert_eq!(mb.count_equal(&7), 1);
-        // The shared entry aliases the original allocation.
-        assert!(std::ptr::eq(mb.from(p(1)).unwrap(), shared.as_ref()));
-    }
-
-    #[test]
     fn table_delivery_is_readable_through_every_accessor() {
         // Senders 0 and 2 broadcast via the table; 1 unicasts explicitly.
         let table = Arc::new(vec![
@@ -870,7 +819,8 @@ mod tests {
     fn second_round_table_falls_back_to_shared_entries() {
         // Delivering from two different outboxes into one mailbox must not
         // rebind the table (the first senders would resolve against the
-        // wrong plans); the second delivery materialises shared entries.
+        // wrong plans); the second delivery materialises pooled entries
+        // that share table B's payloads.
         let table_a = Arc::new(vec![SendPlan::broadcast(10u32), SendPlan::Silent]);
         let table_b = Arc::new(vec![SendPlan::Silent, SendPlan::broadcast(21u32)]);
         let mut mb = Mailbox::empty();
@@ -908,11 +858,7 @@ mod tests {
         let mut mb = Mailbox::empty();
         assert_eq!(mb.try_push(p(0), 1u32), Ok(()));
         assert_eq!(mb.try_push(p(0), 2), Err(DuplicateSender(p(0))));
-        assert_eq!(
-            mb.try_push_shared(p(0), Arc::new(3)),
-            Err(DuplicateSender(p(0)))
-        );
-        // The rejected pushes left the mailbox untouched.
+        // The rejected push left the mailbox untouched.
         assert_eq!(mb.len(), 1);
         assert_eq!(mb.from(p(0)), Some(&1));
     }
@@ -985,11 +931,6 @@ mod tests {
             let before: Vec<(ProcessId, u64)> = mb.iter().map(|(q, m)| (q, *m)).collect();
             for q in via_table.iter() {
                 assert_eq!(mb.try_push(q, 7), Err(DuplicateSender(q)), "trial {trial}");
-                assert_eq!(
-                    mb.try_push_shared(q, Arc::new(7)),
-                    Err(DuplicateSender(q)),
-                    "trial {trial}"
-                );
             }
             let after: Vec<(ProcessId, u64)> = mb.iter().map(|(q, m)| (q, *m)).collect();
             assert_eq!(after, before, "trial {trial}: a rejected push left a trace");

@@ -10,6 +10,16 @@
 //! broadcast round) next to its deliveries (`O(n²)`), and
 //! `tests/sweep_properties.rs` checks that ratio across the grid.
 //!
+//! All three builders ([`Sweep`], [`SimSweep`], [`RsmSweep`]) run the same
+//! pipeline: materialise the grid, map it over one worker pool (workers
+//! claim one scenario at a time and merge their verdicts back into grid
+//! order), aggregate. A report is a function of its verdicts alone — it
+//! records no wall-clock rate, worker count or scheduling parameter — so
+//! apart from per-verdict timings (`wall_nanos`, telemetry ticks) it is
+//! the same at any worker count (`tests/harness_pins.rs` pins this).
+//! Timing lives in the separate `benchmark/` workspace, which reads each
+//! model and sim verdict's `wall_nanos`.
+//!
 //! ```
 //! use ho_harness::{AdversarySpec, AlgorithmSpec, Sweep};
 //!
@@ -32,7 +42,7 @@
 //! ```
 
 pub mod json;
-pub mod par;
+mod par;
 pub mod report;
 pub mod rsm;
 pub mod scenario;
@@ -40,10 +50,6 @@ pub mod sim;
 pub mod sweep;
 
 pub use json::Json;
-pub use par::{
-    default_threads, par_map, par_map_weighted_with_policy, par_map_with, par_map_with_policy,
-    ChunkPolicy,
-};
 pub use report::{
     forensic_artifact_json, repro_command, rsm_verdict_json, sim_verdict_json,
     telemetry_event_json, telemetry_summary_json, verdict_json, JsonFields, MessageTotals,

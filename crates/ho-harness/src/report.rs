@@ -1,12 +1,9 @@
 //! Aggregated sweep results and the JSON form of single verdicts.
 
-use std::time::Duration;
-
 use ho_core::telemetry::{Event, EventKind, Phase, TelemetrySummary};
 use ho_predicates::monitor::PredicateSummary;
 
 use crate::json::Json;
-use crate::par::ChunkPolicy;
 use crate::scenario::Verdict;
 
 /// Incremental object builder shared by every verdict/summary emitter —
@@ -152,15 +149,6 @@ pub struct SweepReport {
     pub decided: usize,
     /// Scenarios that hit a consensus safety violation.
     pub violations: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_seconds: f64,
-    /// Throughput.
-    pub scenarios_per_sec: f64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// The work-stealing chunk policy the sweep ran under (recorded so a
-    /// chunk-tuning run is self-describing).
-    pub chunk: ChunkPolicy,
     /// Message-cost totals.
     pub totals: MessageTotals,
     /// Predicate-statistics totals over the monitored verdicts.
@@ -171,14 +159,9 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Folds verdicts into a report run under the given chunk policy.
+    /// Folds verdicts into a report.
     #[must_use]
-    pub fn aggregate(
-        verdicts: Vec<Verdict>,
-        elapsed: Duration,
-        threads: usize,
-        chunk: ChunkPolicy,
-    ) -> Self {
+    pub fn aggregate(verdicts: Vec<Verdict>) -> Self {
         let scenarios = verdicts.len();
         let decided = verdicts.iter().filter(|v| v.all_decided()).count();
         let violations = verdicts.iter().filter(|v| !v.is_safe()).count();
@@ -193,19 +176,10 @@ impl SweepReport {
             predicate_totals.absorb(summary);
         }
         let telemetry_totals = merge_telemetry(verdicts.iter().map(|v| v.telemetry.as_ref()));
-        let wall_seconds = elapsed.as_secs_f64();
         SweepReport {
             scenarios,
             decided,
             violations,
-            wall_seconds,
-            scenarios_per_sec: if wall_seconds > 0.0 {
-                scenarios as f64 / wall_seconds
-            } else {
-                f64::INFINITY
-            },
-            threads,
-            chunk,
             totals,
             predicate_totals,
             telemetry_totals,
@@ -405,7 +379,6 @@ pub fn rsm_verdict_json(v: &crate::rsm::RsmVerdict) -> Json {
         .opt_uint("catch_up_rounds", v.catch_up_rounds)
         .opt_float("requeue_ratio", v.requeue_ratio())
         .float("rounds_per_slot", v.rounds_per_slot())
-        .float("commands_per_sec", v.commands_per_sec())
         .float("commands_per_round", v.commands_per_round())
         .uint("latency_samples", v.latency_samples)
         .opt_uint("latency_p50", v.latency_p50)
@@ -414,8 +387,7 @@ pub fn rsm_verdict_json(v: &crate::rsm::RsmVerdict) -> Json {
         .opt_uint("latency_max", v.latency_max)
         .uint("payload_allocs", v.payload_allocs)
         .uint("payload_reuses", v.payload_reuses)
-        .uint("delivered", v.delivered_messages)
-        .uint("wall_nanos", v.wall_nanos);
+        .uint("delivered", v.delivered_messages);
     if let Some(t) = &v.telemetry {
         fields = fields.field("telemetry", telemetry_summary_json(t));
     }

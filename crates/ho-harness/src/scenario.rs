@@ -400,7 +400,8 @@ pub struct Verdict {
     /// in a safety violation with telemetry on — the raw material of the
     /// forensic artifact.
     pub forensic_events: Option<Vec<Event>>,
-    /// Wall-clock nanoseconds for this scenario.
+    /// Wall-clock nanoseconds for this scenario. The run does not
+    /// determine it, so no report aggregates it; `benchmark/` reads it.
     pub wall_nanos: u64,
 }
 

@@ -1,8 +1,6 @@
 //! The sweep: a cartesian scenario grid executed across every core.
 
-use std::time::Instant;
-
-use crate::par::{default_threads, par_map_with_policy, ChunkPolicy};
+use crate::par::{default_threads, par_map};
 use crate::report::SweepReport;
 use crate::scenario::{AdversarySpec, AlgorithmSpec, Scenario, ScenarioScratch, Verdict};
 
@@ -32,7 +30,6 @@ pub struct Sweep {
     monitor_predicates: bool,
     telemetry: bool,
     threads: Option<usize>,
-    chunking: ChunkPolicy,
 }
 
 impl Default for Sweep {
@@ -47,7 +44,6 @@ impl Default for Sweep {
             monitor_predicates: false,
             telemetry: false,
             threads: None,
-            chunking: ChunkPolicy::from_env(),
         }
     }
 }
@@ -134,17 +130,6 @@ impl Sweep {
         self
     }
 
-    /// Sets the work-stealing chunk policy (default:
-    /// [`ChunkPolicy::from_env`] — the built-in 16-claims/64-max defaults
-    /// with `HO_SWEEP_CHUNK_TARGET` / `HO_SWEEP_CHUNK_MAX` overrides). The
-    /// chosen policy is recorded in the report, so tuning runs are
-    /// self-describing.
-    #[must_use]
-    pub fn chunking(mut self, policy: ChunkPolicy) -> Self {
-        self.chunking = policy;
-        self
-    }
-
     /// Materialises the scenario grid in axis order
     /// (algorithm, adversary, size, seed).
     #[must_use]
@@ -174,21 +159,17 @@ impl Sweep {
     }
 
     /// Runs every scenario across the worker pool and aggregates. Workers
-    /// claim chunks of the grid and carry one [`ScenarioScratch`] each, so
-    /// round buffers are reused from scenario to scenario.
+    /// claim one scenario at a time and carry one [`ScenarioScratch`]
+    /// each, so round buffers are reused from scenario to scenario.
     #[must_use]
     pub fn run(&self) -> SweepReport {
-        let scenarios = self.scenarios();
-        let threads = self.threads.unwrap_or_else(default_threads);
-        let start = Instant::now();
-        let verdicts: Vec<Verdict> = par_map_with_policy(
-            &scenarios,
-            threads,
-            self.chunking,
+        let verdicts: Vec<Verdict> = par_map(
+            &self.scenarios(),
+            self.threads.unwrap_or_else(default_threads),
             ScenarioScratch::default,
             |scratch, s| s.run_reusing(scratch),
         );
-        SweepReport::aggregate(verdicts, start.elapsed(), threads, self.chunking)
+        SweepReport::aggregate(verdicts)
     }
 }
 
@@ -274,6 +255,5 @@ mod tests {
         assert_eq!(report.violations, 0);
         let allocs: u64 = report.verdicts.iter().map(|v| v.payload_allocs).sum();
         assert_eq!(report.totals.payload_allocs, allocs);
-        assert!(report.scenarios_per_sec > 0.0);
     }
 }

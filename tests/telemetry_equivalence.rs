@@ -62,14 +62,14 @@ fn model_key(mut v: Verdict) -> String {
 
 fn sim_key(mut v: SimVerdict) -> String {
     v.wall_nanos = 0;
-    v.events_per_sec = 0.0;
     v.telemetry = None;
     v.forensic_events = None;
     format!("{v:?}")
 }
 
+/// Rsm verdicts carry no wall clock: everything but the telemetry-added
+/// fields is compared.
 fn rsm_key(mut v: RsmVerdict) -> String {
-    v.wall_nanos = 0;
     v.telemetry = None;
     v.forensic_events = None;
     format!("{v:?}")
